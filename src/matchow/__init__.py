@@ -15,7 +15,7 @@ sum / Moebius polynomial (``Matroid.mu``) and counting maximal chains of
 flats by descent set (``Matroid.chains_with_descent_set``).
 """
 
-from .chowlex import deg_lex, lex_expand_alpha, lex_expand_beta, surviving_flags
+from .chowlex import deg_lex
 from .errors import (
     DegeneratePoint,
     DegenerateSystem,
@@ -29,84 +29,22 @@ from .errors import (
     RangeError,
     Unbalanced,
 )
-from .exact import (
-    MultiPoly,
-    integer_kernel,
-    lattice_index,
-    poly_eval,
-    smith_invariant_factors,
-)
-from .fan import (
-    FlagCone,
-    SkeletonCone,
-    WeightedFan,
-    alpha_fan,
-    balancing_certificate,
-    beta_fan,
-    braid_cone_of,
-    cone_contains,
-    e_image,
-    flag_key,
-    full_coordinates,
-    is_balanced,
-    matroid_fan,
-    require_balanced,
-)
-from .matroid import (
-    BUILTIN_MATROIDS,
-    FlatLattice,
-    Matroid,
-    builtin,
-    complete_graph_k4,
-    descent_set,
-    jordan_holder_word,
-    poly_q_str,
-    triangle_with_pendant,
-)
-from .piecewise import (
-    FacetPolynomial,
-    brion_degree,
-    chamber_denominator,
-    chambers,
-    deg_pp,
-    generic_point,
-    greedy_basis,
-    pp_constant,
-    pp_power,
-    pp_product,
-    rep_alpha,
-    rep_beta,
-    rep_bergman,
-)
-from .stable import (
-    IntersectionPoint,
-    deg_stable,
-    displacement_vectors,
-    intersect_triple,
-    stable_intersection_points,
-)
-from .tropical import (
-    PLFunction,
-    deg_tropical,
-    divisor,
-    pl_alpha,
-    pl_beta,
-    pl_linear,
-    truncation_weight,
-)
+from .exact import MultiPoly
+from .fan import braid_cone_of, e_image, full_coordinates, is_balanced, matroid_fan
+from .matroid import Matroid, complete_graph_k4, poly_q_str, triangle_with_pendant
+from .piecewise import chambers, deg_pp, rep_alpha, rep_beta
+from .stable import deg_stable, intersect_triple, stable_intersection_points
+from .tropical import deg_tropical, divisor, pl_alpha, pl_beta, pl_linear, truncation_weight
 
 __version__ = "0.1.0"
 
+# What the README quick start, the demos and the acceptance gate import, plus
+# every exception class; everything else is imported from its submodule.
 __all__ = [
-    "BUILTIN_MATROIDS",
     "DegeneratePoint",
     "DegenerateSystem",
     "EmptyBases",
     "ExchangeViolation",
-    "FacetPolynomial",
-    "FlagCone",
-    "FlatLattice",
-    "IntersectionPoint",
     "KOutOfRange",
     "LoopContract",
     "LoopPresent",
@@ -114,56 +52,28 @@ __all__ = [
     "Matroid",
     "MultiPoly",
     "NotFullRank",
-    "PLFunction",
     "RangeError",
-    "SkeletonCone",
     "Unbalanced",
-    "WeightedFan",
-    "alpha_fan",
-    "balancing_certificate",
-    "beta_fan",
     "braid_cone_of",
-    "brion_degree",
-    "builtin",
-    "chamber_denominator",
     "chambers",
     "complete_graph_k4",
-    "cone_contains",
     "deg_lex",
     "deg_pp",
     "deg_stable",
     "deg_tropical",
-    "descent_set",
-    "displacement_vectors",
     "divisor",
     "e_image",
-    "flag_key",
     "full_coordinates",
-    "generic_point",
-    "greedy_basis",
-    "integer_kernel",
     "intersect_triple",
     "is_balanced",
-    "jordan_holder_word",
-    "lattice_index",
-    "lex_expand_alpha",
-    "lex_expand_beta",
     "matroid_fan",
     "pl_alpha",
     "pl_beta",
     "pl_linear",
-    "poly_eval",
     "poly_q_str",
-    "pp_constant",
-    "pp_power",
-    "pp_product",
     "rep_alpha",
     "rep_beta",
-    "rep_bergman",
-    "require_balanced",
-    "smith_invariant_factors",
     "stable_intersection_points",
-    "surviving_flags",
     "triangle_with_pendant",
     "truncation_weight",
 ]

@@ -127,16 +127,18 @@ def cmd_invariants(args) -> int:
         ],
         "char_poly": poly_q_str(char),
     }
-    if m.is_loopless():
+    if not m.is_loopless():
+        lines.append(f"loops: {sorted(m.loops())} (no reduced polynomial)")
+        payload["loops"] = sorted(m.loops())
+    elif m.rank() == 0:
+        lines.append("rank 0: chi(q) = 1 is not divisible by q - 1 (no reduced polynomial)")
+    else:
         reduced = m.reduced_char_poly()
         mu = m.mu_vector()
         lines.append(f"reduced char poly: {poly_q_str(reduced)}")
         lines.append("mu vector: " + " ".join(str(v) for v in mu))
         payload["reduced_char_poly"] = poly_q_str(reduced)
         payload["mu"] = [str(v) for v in mu]
-    else:
-        lines.append(f"loops: {sorted(m.loops())} (no reduced polynomial)")
-        payload["loops"] = sorted(m.loops())
     _emit(payload, args.json, lines)
     return 0
 

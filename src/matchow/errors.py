@@ -28,7 +28,7 @@ class LoopContract(MatchowError):
 
 
 class KOutOfRange(MatchowError):
-    """The coefficient index k is outside 0..r."""
+    """The coefficient index k is outside 0..r (empty for a rank-0 matroid)."""
 
 
 class RangeError(MatchowError):

@@ -2,9 +2,10 @@
 
 Everything here is exact.  Rationals are ``fractions.Fraction``, integers are
 Python ints, and the lattice routines are elementary row/column reductions
-over Z (Hermite-style elimination; Smith form only where invariant factors
-are wanted).  Dimensions in this library stay below ten, so the classical
-O(n^3) algorithms with exact pivoting are the right tool.
+over Z (Hermite-style elimination; the Smith form is kept only as an
+independent reference that tests check lattice indices against).
+Dimensions in this library stay below ten, so the classical O(n^3)
+algorithms with exact pivoting are the right tool.
 """
 
 from __future__ import annotations
@@ -184,7 +185,11 @@ def in_rational_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
 
 
 def smith_invariant_factors(rows: Iterable[Sequence[int]]) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    No route calls this; it is a second, independent reduction that the
+    tests hold lattice_index against.
+    """
     mat = _as_int_rows(rows)
     if not mat:
         return []
@@ -271,134 +276,31 @@ class MultiPoly:
                     del clean[exp]
         self.terms = clean
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_vars: int) -> "MultiPoly":
-        return cls(n_vars)
-
-    @classmethod
-    def constant(cls, n_vars: int, c) -> "MultiPoly":
-        return cls(n_vars, {(0,) * n_vars: _coerce_coeff(c)})
-
     @classmethod
     def variable(cls, n_vars: int, i: int) -> "MultiPoly":
         exp = [0] * n_vars
         exp[i] = 1
         return cls(n_vars, {tuple(exp): Fraction(1)})
 
-    @classmethod
-    def linear(cls, n_vars: int, coeffs: Mapping[int, int], constant=0) -> "MultiPoly":
-        """Sum of coeff * t_i over the mapping, plus a constant term."""
-        terms: Dict[Exponent, Fraction] = {}
-        for i, c in coeffs.items():
-            exp = [0] * n_vars
-            exp[i] = 1
-            terms[tuple(exp)] = terms.get(tuple(exp), Fraction(0)) + _coerce_coeff(c)
-        terms[(0,) * n_vars] = _coerce_coeff(constant)
-        return cls(n_vars, terms)
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check_compatible(self, other: "MultiPoly") -> None:
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if self.n_vars != other.n_vars:
             raise ValueError("variable count mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n_vars, other)
-        self._check_compatible(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             terms[exp] = terms.get(exp, Fraction(0)) + c
         return MultiPoly(self.n_vars, terms)
 
-    __radd__ = __add__
+    def __neg__(self) -> "MultiPoly":
+        return self * -1
 
-    def __neg__(self):
-        return MultiPoly(self.n_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n_vars, other)
+    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce_coeff(other)
-            return MultiPoly(self.n_vars, {e: c * v for e, v in self.terms.items()})
-        self._check_compatible(other)
-        terms: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return MultiPoly(self.n_vars, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.n_vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+    def __mul__(self, scalar) -> "MultiPoly":
+        c = _coerce_coeff(scalar)
+        return MultiPoly(self.n_vars, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n_vars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.n_vars == other.n_vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n_vars, frozenset(self.terms.items())))
-
-    # -- queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.n_vars:
-            raise ValueError("point length mismatch")
-        pt = [_coerce_coeff(x) if not isinstance(x, Fraction) else x for x in point]
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(pt, exp):
-                if e:
-                    val *= x**e
-            total += val
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for exp in sorted(self.terms, key=lambda e: (-sum(e), e)):
-            c = self.terms[exp]
-            mon = "*".join(
-                f"t{i}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e
-            )
-            if mon:
-                bits.append(f"{c}*{mon}" if c != 1 else mon)
-            else:
-                bits.append(str(c))
-        return " + ".join(bits)
-
-
-def poly_eval(p: MultiPoly, point: Sequence) -> Fraction:
-    """Exact evaluation of a MultiPoly at a rational point."""
-    return p.evaluate(point)

@@ -13,17 +13,15 @@ rational weights.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import LoopPresent, Unbalanced
-from .exact import in_rational_span, integer_kernel
+from .exact import in_rational_span
 from .matroid import Matroid
 
 Subset = FrozenSet[int]
 FlagCone = Tuple[Subset, ...]
-Vector = Tuple[Fraction, ...]
 
 
 def flag_key(flag: FlagCone):
@@ -54,11 +52,13 @@ def validate_flag(n_elements: int, flag: FlagCone) -> None:
         prev = s
 
 
-def braid_cone_of(n_elements: int, point: Sequence) -> FlagCone:
-    """Flag of the smallest braid cone containing the point.
+def level_prefixes(n_elements: int, point: Sequence) -> list[Tuple[Fraction, Subset]]:
+    """The distinct full coordinates of a point in decreasing order, each
+    paired with the set of elements whose coordinate is at least that value.
 
-    Sorting the full coordinates into strictly decreasing level groups, the
-    flag is the chain of proper prefix unions of those groups.
+    The prefixes before the last (which is the whole ground set) form the
+    flag of the smallest braid cone containing the point, and consecutive
+    value gaps are the point's coefficients on those flag generators.
     """
     coords = full_coordinates(point)
     if len(coords) != n_elements:
@@ -66,17 +66,17 @@ def braid_cone_of(n_elements: int, point: Sequence) -> FlagCone:
     levels: Dict[Fraction, set] = {}
     for e, value in enumerate(coords):
         levels.setdefault(value, set()).add(e)
-    flag = []
+    out = []
     prefix: set = set()
-    for value in sorted(levels, reverse=True)[:-1]:
+    for value in sorted(levels, reverse=True):
         prefix |= levels[value]
-        flag.append(frozenset(prefix))
-    return tuple(flag)
+        out.append((value, frozenset(prefix)))
+    return out
 
 
-def cone_contains(flag_small: FlagCone, flag_big: FlagCone) -> bool:
-    """Face relation: in a simplicial fan this is flag containment."""
-    return set(flag_small) <= set(flag_big)
+def braid_cone_of(n_elements: int, point: Sequence) -> FlagCone:
+    """Flag of the smallest braid cone containing the point."""
+    return tuple(prefix for _, prefix in level_prefixes(n_elements, point)[:-1])
 
 
 class WeightedFan:
@@ -150,13 +150,16 @@ def matroid_fan(m: Matroid) -> WeightedFan:
     return WeightedFan(m.n_elements, r, {f: Fraction(1) for f in flags})
 
 
-def _codim_one_faces(fan: WeightedFan) -> list[FlagCone]:
-    faces = {
-        flag[:i] + flag[i + 1 :]
-        for flag in fan.weights
-        for i in range(len(flag))
-    }
-    return sorted(faces, key=flag_key)
+def codim_one_stars(
+    fan: WeightedFan,
+) -> list[Tuple[FlagCone, list[Tuple[Subset, Fraction]]]]:
+    """Every codimension-one face tau in canonical order, with the extra ray
+    and weight of each cone of the fan that contains it."""
+    stars: Dict[FlagCone, list] = {}
+    for sigma, w in fan.weights.items():
+        for i, extra in enumerate(sigma):
+            stars.setdefault(sigma[:i] + sigma[i + 1 :], []).append((extra, w))
+    return sorted(stars.items(), key=lambda star: flag_key(star[0]))
 
 
 def balancing_certificate(fan: WeightedFan) -> Optional[FlagCone]:
@@ -168,14 +171,10 @@ def balancing_certificate(fan: WeightedFan) -> Optional[FlagCone]:
     if fan.dim == 0:
         return None
     n = fan.n_elements
-    for tau in _codim_one_faces(fan):
-        tau_set = set(tau)
+    for tau, star in codim_one_stars(fan):
         total = [Fraction(0)] * (n - 1)
-        for sigma, w in fan.weights.items():
-            if tau_set <= set(sigma):
-                (extra,) = set(sigma) - tau_set
-                vec = e_image(n, extra)
-                total = [t + w * v for t, v in zip(total, vec)]
+        for extra, w in star:
+            total = [t + w * v for t, v in zip(total, e_image(n, extra))]
         span = [e_image(n, s) for s in tau]
         if not in_rational_span(span, total):
             return tau
@@ -191,116 +190,3 @@ def require_balanced(fan: WeightedFan) -> None:
     cert = balancing_certificate(fan)
     if cert is not None:
         raise Unbalanced(cert)
-
-
-# ---------------------------------------------------------------------------
-# Skeleton fans: loci where the i+1 smallest (or largest) coordinates agree
-# ---------------------------------------------------------------------------
-
-
-def _prefix_flags(n_elements: int, sizes: Sequence[int]) -> list[FlagCone]:
-    """All flags whose member sizes are exactly the given increasing run."""
-    if not sizes:
-        return [()]
-    flags: list[FlagCone] = []
-
-    def grow(flag: FlagCone, current: frozenset, depth: int) -> None:
-        if depth == len(sizes):
-            flags.append(flag)
-            return
-        need = sizes[depth] - len(current)
-        rest = sorted(set(range(n_elements)) - current)
-        for extra in itertools.combinations(rest, need):
-            bigger = current | frozenset(extra)
-            grow(flag + (frozenset(bigger),), bigger, depth + 1)
-
-    grow((), frozenset(), 0)
-    return flags
-
-
-def alpha_fan(n_elements: int, codim: int) -> WeightedFan:
-    """Unit weights on the braid facets of {smallest codim+1 coordinates equal}.
-
-    Those facets are the flags with member sizes 1..n-codim (the minimum is
-    then attained on the complementary part, which has codim+1 elements).
-    """
-    n = n_elements - 1
-    if not (1 <= codim <= n):
-        raise ValueError(f"codim {codim} outside 1..{n}")
-    sizes = list(range(1, n - codim + 1))
-    return WeightedFan(
-        n_elements,
-        n - codim,
-        {f: Fraction(1) for f in _prefix_flags(n_elements, sizes)},
-    )
-
-
-def beta_fan(n_elements: int, codim: int) -> WeightedFan:
-    """Unit weights on the braid facets of {largest codim+1 coordinates equal}.
-
-    Mirror image of alpha_fan: flags with member sizes codim+1..n (the
-    maximum is attained on the first flag member).
-    """
-    n = n_elements - 1
-    if not (1 <= codim <= n):
-        raise ValueError(f"codim {codim} outside 1..{n}")
-    sizes = list(range(codim + 1, n + 1))
-    return WeightedFan(
-        n_elements,
-        n - codim,
-        {f: Fraction(1) for f in _prefix_flags(n_elements, sizes)},
-    )
-
-
-class SkeletonCone:
-    """One cone of a skeleton locus: the coordinates over `members` all agree
-    and are jointly minimal (or, negated, jointly maximal).
-
-    Membership tests work on a displaced point x - offset; the linear span
-    ignores the inequalities and keeps only the equalities.
-    """
-
-    __slots__ = ("n_elements", "members", "negated")
-
-    def __init__(self, n_elements: int, members: Iterable[int], negated: bool = False):
-        self.n_elements = n_elements
-        self.members = frozenset(members)
-        if not self.members or not self.members <= set(range(n_elements)):
-            raise ValueError("members must be a nonempty subset of the ground set")
-        self.negated = negated
-
-    def equality_rows(self) -> list[Tuple[int, ...]]:
-        """Quotient-coordinate rows forcing the member coordinates equal."""
-        ordered = sorted(self.members)
-        rows = []
-        for s, t in zip(ordered, ordered[1:]):
-            row = [0] * (self.n_elements - 1)
-            if s != 0:
-                row[s - 1] += 1
-            row[t - 1] -= 1
-            rows.append(tuple(row))
-        return rows
-
-    def span_lattice_basis(self) -> list[Tuple[int, ...]]:
-        """Saturated basis of the lattice points in the cone's linear span."""
-        return integer_kernel(self.equality_rows(), self.n_elements - 1)
-
-    def classify(self, point: Sequence) -> str:
-        """'interior', 'boundary', or 'outside' for a quotient point."""
-        coords = full_coordinates(point)
-        vals = [coords[e] for e in sorted(self.members)]
-        if any(v != vals[0] for v in vals):
-            return "outside"
-        level = vals[0]
-        strict = True
-        for e in range(self.n_elements):
-            if e in self.members:
-                continue
-            gap = coords[e] - level
-            if self.negated:
-                gap = -gap
-            if gap < 0:
-                return "outside"
-            if gap == 0:
-                strict = False
-        return "interior" if strict else "boundary"

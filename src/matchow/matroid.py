@@ -132,9 +132,6 @@ class FlatLattice:
     def covers_above(self, flat: Flat) -> Tuple[Flat, ...]:
         return self._covers_above.get(flat, ())
 
-    def join(self, f: Flat, g: Flat) -> Flat:
-        return self.matroid.closure(f | g)
-
     def maximal_chains(self) -> Iterator[Chain]:
         """All chains bottom = F_0 < F_1 < ... < F_rank = top."""
 
@@ -178,16 +175,22 @@ class Matroid:
     __slots__ = ("n_elements", "bases", "_rank_cache", "_lattice")
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
-        basis_set = frozenset(frozenset(b) for b in bases)
+        basis_list = [tuple(b) for b in bases]
+        for b in basis_list:
+            for e in b:
+                # bool is an int subclass, but True is no name for element 1
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise ValueError(f"element {e!r} is not an integer")
+                if not 0 <= e < n_elements:
+                    raise ValueError(f"element {e!r} outside 0..{n_elements - 1}")
+            if len(set(b)) != len(b):
+                raise ValueError(f"basis {list(b)} lists an element twice")
+        basis_set = frozenset(frozenset(b) for b in basis_list)
         if not basis_set:
             raise EmptyBases("a matroid needs at least one basis")
         sizes = {len(b) for b in basis_set}
         if len(sizes) != 1:
             raise ExchangeViolation(f"bases of unequal size: {sorted(sizes)}")
-        for b in basis_set:
-            for e in b:
-                if not (isinstance(e, int) and 0 <= e < n_elements):
-                    raise ValueError(f"element {e!r} outside 0..{n_elements - 1}")
         _check_exchange(basis_set)
         self.n_elements = n_elements
         self.bases = basis_set
@@ -195,10 +198,6 @@ class Matroid:
         self._lattice: FlatLattice | None = None
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_bases(cls, n_elements: int, bases: Iterable[Iterable[int]]) -> "Matroid":
-        return cls(n_elements, bases)
 
     @classmethod
     def uniform(cls, rank: int, n_elements: int) -> "Matroid":
@@ -278,10 +277,6 @@ class Matroid:
             self._rank_cache[key] = cached
         return cached
 
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        subset = frozenset(subset)
-        return self.rank(subset) == len(subset)
-
     def closure(self, subset: Iterable[int]) -> Flat:
         subset = frozenset(subset)
         rk = self.rank(subset)
@@ -330,9 +325,17 @@ class Matroid:
         return tuple(coeffs)
 
     def reduced_char_poly(self) -> Tuple[int, ...]:
-        """Coefficients of chi(q)/(q-1), ascending; requires looplessness."""
+        """Coefficients of chi(q)/(q-1), ascending; requires looplessness.
+
+        A loopless matroid of rank 0 (the empty ground set) has chi(q) = 1,
+        which q - 1 does not divide, so it has no reduced polynomial.
+        """
         if not self.is_loopless():
             raise LoopPresent("reduced characteristic polynomial needs a loopless matroid")
+        if self.rank() == 0:
+            raise KOutOfRange(
+                "a rank-0 matroid has no reduced characteristic polynomial (chi(q) = 1)"
+            )
         return _poly_divide_by_q_minus_1(self.char_poly())
 
     def mu(self, k: int) -> int:

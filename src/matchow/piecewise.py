@@ -44,47 +44,10 @@ def greedy_basis(m: Matroid, order: Sequence[int]) -> frozenset:
 class FacetPolynomial:
     """One exact polynomial per permutation chamber of the braid fan."""
 
-    __slots__ = ("n_elements", "parts")
+    __slots__ = ("parts",)
 
-    def __init__(self, n_elements: int, parts: Dict[Perm, MultiPoly]):
-        expected = set(chambers(n_elements))
-        if set(parts) != expected:
-            raise ValueError("need exactly one polynomial per chamber")
-        for poly in parts.values():
-            if poly.n_vars != n_elements:
-                raise ValueError("chamber polynomial has wrong variable count")
-        self.n_elements = n_elements
-        self.parts = dict(parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, FacetPolynomial):
-            return NotImplemented
-        return self.n_elements == other.n_elements and self.parts == other.parts
-
-    def __repr__(self):
-        return f"FacetPolynomial(n={self.n_elements})"
-
-
-def pp_constant(n_elements: int, value=1) -> FacetPolynomial:
-    poly = MultiPoly.constant(n_elements, value)
-    return FacetPolynomial(n_elements, {c: poly for c in chambers(n_elements)})
-
-
-def pp_product(a: FacetPolynomial, b: FacetPolynomial) -> FacetPolynomial:
-    if a.n_elements != b.n_elements:
-        raise ValueError("chamber count mismatch")
-    return FacetPolynomial(
-        a.n_elements, {c: a.parts[c] * b.parts[c] for c in a.parts}
-    )
-
-
-def pp_power(a: FacetPolynomial, k: int) -> FacetPolynomial:
-    if k < 0:
-        raise ValueError("negative power")
-    out = pp_constant(a.n_elements)
-    for _ in range(k):
-        out = pp_product(out, a)
-    return out
+    def __init__(self, parts: Dict[Perm, MultiPoly]):
+        self.parts = parts
 
 
 def _variable_difference(n_elements: int, i: int, j: int) -> MultiPoly:
@@ -95,37 +58,15 @@ def _variable_difference(n_elements: int, i: int, j: int) -> MultiPoly:
 def rep_alpha(n_elements: int, f: int = 0) -> FacetPolynomial:
     """Chamber-wise t_f - t_(last of the chamber order)."""
     return FacetPolynomial(
-        n_elements,
-        {
-            c: _variable_difference(n_elements, f, c[-1])
-            for c in chambers(n_elements)
-        },
+        {c: _variable_difference(n_elements, f, c[-1]) for c in chambers(n_elements)}
     )
 
 
 def rep_beta(n_elements: int, f: int = 0) -> FacetPolynomial:
     """Chamber-wise t_(first of the chamber order) - t_f."""
     return FacetPolynomial(
-        n_elements,
-        {
-            c: _variable_difference(n_elements, c[0], f)
-            for c in chambers(n_elements)
-        },
+        {c: _variable_difference(n_elements, c[0], f) for c in chambers(n_elements)}
     )
-
-
-def rep_bergman(m: Matroid, f: int = 0) -> FacetPolynomial:
-    """Chamber-wise product of t_f - t_i over i outside the greedy basis."""
-    if not m.is_loopless():
-        raise LoopPresent("the matroid class needs a loopless matroid")
-    n = m.n_elements
-    parts = {}
-    for c in chambers(n):
-        poly = MultiPoly.constant(n, 1)
-        for i in sorted(set(range(n)) - greedy_basis(m, c)):
-            poly = poly * _variable_difference(n, f, i)
-        parts[c] = poly
-    return FacetPolynomial(n, parts)
 
 
 def chamber_denominator(perm: Perm, point: Sequence[Fraction]) -> Fraction:
@@ -137,14 +78,6 @@ def chamber_denominator(perm: Perm, point: Sequence[Fraction]) -> Fraction:
             raise DegeneratePoint(f"coordinates {a} and {b} collide")
         value *= diff
     return value
-
-
-def brion_degree(fp: FacetPolynomial, point: Sequence[Fraction]) -> Fraction:
-    """Chamber sum of f_sigma / denominator_sigma at an exact generic point."""
-    total = Fraction(0)
-    for perm, poly in fp.parts.items():
-        total += poly.evaluate(point) / chamber_denominator(perm, point)
-    return total
 
 
 def generic_point(n_elements: int, seed: int) -> Point:

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateSystem, KOutOfRange, LoopPresent, NotFullRank
-from .exact import lattice_index, solve_linear
-from .fan import FlagCone, SkeletonCone, e_image, full_coordinates, matroid_fan
+from .exact import integer_kernel, lattice_index, solve_linear
+from .fan import FlagCone, e_image, full_coordinates, matroid_fan
 from .matroid import Matroid
 
 Subset = FrozenSet[int]
@@ -85,6 +85,24 @@ def _flag_parts(n_elements: int, flag: FlagCone) -> List[Subset]:
     return parts
 
 
+def _equality_rows(n_elements: int, group: Subset) -> List[Tuple[int, ...]]:
+    """Quotient-coordinate rows x_s - x_t for consecutive members s < t.
+
+    They force the group's coordinates equal.  The dot product of a row with
+    a displacement in quotient coordinates is that displacement's gap between
+    s and t, because element 0 is pinned to zero.
+    """
+    ordered = sorted(group)
+    rows = []
+    for s, t in zip(ordered, ordered[1:]):
+        row = [0] * (n_elements - 1)
+        if s != 0:
+            row[s - 1] = 1
+        row[t - 1] = -1
+        rows.append(tuple(row))
+    return rows
+
+
 def intersect_triple(
     flag: FlagCone,
     smallest: Sequence[int],
@@ -114,28 +132,13 @@ def intersect_triple(
     if len(I & J) > 1:
         return None
 
-    fa, fb = full_coordinates(a), full_coordinates(b)
     n = n_el - 1
-    rows: List[List[Fraction]] = []
+    rows: List[Tuple[int, ...]] = []
     rhs: List[Fraction] = []
-
-    def difference_row(s: int, t: int, gap: Fraction) -> None:
-        row = [Fraction(0)] * n
-        if s != 0:
-            row[s - 1] += 1
-        if t != 0:
-            row[t - 1] -= 1
-        rows.append(row)
-        rhs.append(gap)
-
-    for part in parts:
-        ordered = sorted(part)
-        for s, t in zip(ordered, ordered[1:]):
-            difference_row(s, t, Fraction(0))
-    for group, offsets in ((I, fa), (J, fb)):
-        ordered = sorted(group)
-        for s, t in zip(ordered, ordered[1:]):
-            difference_row(s, t, offsets[s] - offsets[t])
+    for group, offset in [(part, (0,) * n) for part in parts] + [(I, a), (J, b)]:
+        for row in _equality_rows(n_el, group):
+            rows.append(row)
+            rhs.append(sum(x * o for x, o in zip(row, offset)))
 
     status, solution = solve_linear(rows, rhs)
     if status == "inconsistent":
@@ -152,6 +155,7 @@ def intersect_triple(
             raise DegenerateSystem("intersection point on a flag wall")
         if hi < lo:
             return None
+    fa, fb = full_coordinates(a), full_coordinates(b)
     for group, offsets, sense in ((I, fa, 1), (J, fb, -1)):
         shifted = [x - o for x, o in zip(full, offsets)]
         level = shifted[min(group)]
@@ -165,8 +169,8 @@ def intersect_triple(
                 return None
 
     generators = [e_image(n_el, s) for s in flag]
-    generators += SkeletonCone(n_el, I).span_lattice_basis()
-    generators += SkeletonCone(n_el, J, negated=True).span_lattice_basis()
+    generators += integer_kernel(_equality_rows(n_el, I), n)
+    generators += integer_kernel(_equality_rows(n_el, J), n)
     try:
         index = lattice_index(generators, n)
     except NotFullRank as exc:

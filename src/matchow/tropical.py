@@ -2,7 +2,8 @@
 
 A piecewise-linear function is a table of values on the rays e_S, extended
 to each braid cone by linearity in the flag generators (the evaluation
-decomposes a point into its level groups, exactly like braid_cone_of).
+decomposes a point into its level groups with the same walk that
+braid_cone_of uses).
 
 The divisor of f on a balanced weight w assigns to each codimension-one
 face tau the value sum_sigma f(w(sigma) e_(sigma/tau)) minus
@@ -25,9 +26,9 @@ from .errors import KOutOfRange, LoopPresent, RangeError
 from .fan import (
     FlagCone,
     WeightedFan,
+    codim_one_stars,
     e_image,
-    flag_key,
-    full_coordinates,
+    level_prefixes,
     matroid_fan,
     require_balanced,
 )
@@ -54,18 +55,10 @@ class PLFunction:
 
     def __call__(self, point: Sequence) -> Fraction:
         """Courant evaluation: decompose into level groups, combine ray values."""
-        coords = full_coordinates(point)
-        if len(coords) != self.n_elements:
-            raise ValueError("point has the wrong dimension")
-        levels: Dict[Fraction, set] = {}
-        for e, value in enumerate(coords):
-            levels.setdefault(value, set()).add(e)
-        ordered = sorted(levels, reverse=True)
+        levels = level_prefixes(self.n_elements, point)
         total = Fraction(0)
-        prefix: set = set()
-        for value, nxt in zip(ordered, ordered[1:]):
-            prefix |= levels[value]
-            total += (value - nxt) * self.ray_values[frozenset(prefix)]
+        for (value, prefix), (nxt, _) in zip(levels, levels[1:]):
+            total += (value - nxt) * self.ray_values[prefix]
         return total
 
     def __repr__(self):
@@ -117,20 +110,11 @@ def divisor(f: PLFunction, w: WeightedFan) -> WeightedFan:
         raise ValueError("cannot take the divisor of a 0-dimensional weight")
     require_balanced(w)
     n = w.n_elements
-    faces = {
-        flag[:i] + flag[i + 1 :]
-        for flag in w.weights
-        for i in range(len(flag))
-    }
     out: Dict[FlagCone, Fraction] = {}
-    for tau in sorted(faces, key=flag_key):
-        tau_set = set(tau)
+    for tau, star in codim_one_stars(w):
         linear_part = Fraction(0)
         combined = [Fraction(0)] * (n - 1)
-        for sigma, weight in w.weights.items():
-            if not tau_set <= set(sigma):
-                continue
-            (extra,) = set(sigma) - tau_set
+        for extra, weight in star:
             ray = e_image(n, extra)
             linear_part += f([weight * x for x in ray])
             combined = [c + weight * x for c, x in zip(combined, ray)]

@@ -4,18 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from matchow import (
-    KOutOfRange,
-    LoopPresent,
-    Matroid,
-    deg_lex,
-    descent_set,
-    jordan_holder_word,
-    lex_expand_alpha,
-    lex_expand_beta,
-    surviving_flags,
-    triangle_with_pendant,
-)
+from matchow import KOutOfRange, LoopPresent, Matroid, deg_lex
+from matchow.chowlex import lex_expand_alpha, lex_expand_beta, surviving_flags
+from matchow.matroid import descent_set, jordan_holder_word
 
 fs = frozenset
 

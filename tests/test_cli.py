@@ -226,6 +226,52 @@ def test_bases_file_roundtrip(capsys, tmp_path):
     assert "mu vector: 1 3" in out
 
 
+def test_bases_bool_element_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"n_elements": 2, "bases": [[True]]}))
+    code, out, err = run(capsys, "invariants", "--bases", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: element True is not an integer\n"
+
+
+def test_bases_repeated_element_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"n_elements": 3, "bases": [[0, 0]]}))
+    code, out, err = run(capsys, "invariants", "--bases", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: basis [0, 0] lists an element twice\n"
+
+
+def test_empty_ground_set_invariants(capsys):
+    code, out, err = run(capsys, "invariants", "--uniform", "0", "0")
+    assert code == 0
+    assert err == ""
+    assert "char poly: 1" in out
+    assert "no reduced polynomial" in out
+    assert "mu vector" not in out
+
+
+def test_empty_ground_set_deg_is_exit_2(capsys):
+    code, out, err = run(
+        capsys, "deg", "--uniform", "0", "0", "--k", "0", "--method", "lex"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_empty_ground_set_crosscheck_is_exit_2(capsys, tmp_path):
+    graph = tmp_path / "empty.json"
+    graph.write_text(json.dumps({"edges": []}))
+    code, out, err = run(capsys, "crosscheck", "--graph", str(graph))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rank-0" in err
+
+
 def test_uniform_bad_rank_is_exit_2(capsys):
     code, _, _ = run(capsys, "invariants", "--uniform", "5", "3")
     assert code == 2

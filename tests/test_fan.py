@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,22 +11,22 @@ import pytest
 from matchow import (
     LoopPresent,
     Matroid,
-    SkeletonCone,
     Unbalanced,
-    WeightedFan,
-    alpha_fan,
-    balancing_certificate,
-    beta_fan,
     braid_cone_of,
-    cone_contains,
     e_image,
     full_coordinates,
     is_balanced,
-    lattice_index,
     matroid_fan,
-    require_balanced,
+    truncation_weight,
 )
-from matchow.fan import _prefix_flags, validate_flag
+from matchow.exact import lattice_index
+from matchow.fan import (
+    WeightedFan,
+    balancing_certificate,
+    codim_one_stars,
+    require_balanced,
+    validate_flag,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +74,6 @@ def test_braid_cone_contains_its_point():
             gap = hi - lo
             rebuilt = [r + gap * v for r, v in zip(rebuilt, e_image(n, s))]
         assert tuple(rebuilt) == pt
-
-
-def test_cone_contains():
-    small = (frozenset({0}),)
-    big = (frozenset({0}), frozenset({0, 1}))
-    assert cone_contains(small, big)
-    assert cone_contains((), small)
-    assert not cone_contains(big, small)
 
 
 def test_validate_flag_errors():
@@ -178,114 +171,103 @@ def test_zero_dimensional_fan_trivially_balanced():
     assert balancing_certificate(fan) is None
 
 
+def test_codim_one_stars_of_boolean3():
+    stars = codim_one_stars(matroid_fan(Matroid.boolean(3)))
+    assert [tau for tau, _ in stars] == [
+        (frozenset({0}),),
+        (frozenset({0, 1}),),
+        (frozenset({0, 2}),),
+        (frozenset({1}),),
+        (frozenset({1, 2}),),
+        (frozenset({2}),),
+    ]
+    # each ray of the hexagon fan lies in exactly two of its six cones
+    tau, star = stars[0]
+    assert sorted(sorted(extra) for extra, _ in star) == [[0, 1], [0, 2]]
+    assert all(w == 1 for _, w in star)
+
+
 # ---------------------------------------------------------------------------
-# skeleton fans
+# skeleton fans: where the codim+1 smallest (or largest) coordinates agree.
+# On the boolean matroid these are truncation windows with unit weights.
 # ---------------------------------------------------------------------------
+
+
+def _smallest_equal(n: int, codim: int):
+    return truncation_weight(Matroid.boolean(n), 1, n - 1 - codim)
+
+
+def _largest_equal(n: int, codim: int):
+    return truncation_weight(Matroid.boolean(n), codim + 1, n - 1)
+
+
+def _interior_point(n: int, flag, rng) -> list:
+    point = [Fraction(0)] * (n - 1)
+    for s in flag:
+        c = Fraction(rng.randint(1, 9))
+        point = [p + c * v for p, v in zip(point, e_image(n, s))]
+    return point
 
 
 def test_alpha_beta_fan_shapes():
-    a = alpha_fan(3, 1)
+    a = _smallest_equal(3, 1)
     assert a.dim == 1
     assert a.cones() == [
         (frozenset({0}),),
         (frozenset({1}),),
         (frozenset({2}),),
     ]
-    b = beta_fan(3, 1)
+    b = _largest_equal(3, 1)
     assert b.cones() == [
         (frozenset({0, 1}),),
         (frozenset({0, 2}),),
         (frozenset({1, 2}),),
     ]
-    # full codimension leaves just the origin
-    assert alpha_fan(3, 2).cones() == [()]
-    assert beta_fan(3, 2).cones() == [()]
-    with pytest.raises(ValueError):
-        alpha_fan(3, 0)
-    with pytest.raises(ValueError):
-        beta_fan(3, 3)
+    # every flag whose member sizes run 1..n-1-codim (resp. codim+1..n-1)
+    for n in (3, 4, 5):
+        for codim in range(1, n - 1):
+            for fan, sizes in (
+                (_smallest_equal(n, codim), list(range(1, n - codim))),
+                (_largest_equal(n, codim), list(range(codim + 1, n))),
+            ):
+                assert fan.dim == n - 1 - codim
+                assert len(fan.weights) == math.factorial(n) // math.factorial(codim + 1)
+                assert all([len(s) for s in flag] == sizes for flag in fan.weights)
+                assert set(fan.weights.values()) == {1}
 
 
 def test_skeleton_fans_balance_small():
-    for n in range(2, 6):
-        for codim in range(1, n):
-            assert balancing_certificate(alpha_fan(n, codim)) is None
-            assert balancing_certificate(beta_fan(n, codim)) is None
+    for n in range(3, 6):
+        for codim in range(1, n - 1):
+            assert balancing_certificate(_smallest_equal(n, codim)) is None
+            assert balancing_certificate(_largest_equal(n, codim)) is None
 
 
 def test_alpha_fan_points_have_equal_minima():
     rng = random.Random(41)
-    for n, codim in ((4, 1), (4, 2), (5, 2)):
-        fan = alpha_fan(n, codim)
-        for flag in fan.cones():
-            if not flag:
-                continue
-            point = [Fraction(0)] * (n - 1)
-            for s in flag:
-                c = Fraction(rng.randint(1, 9))
-                point = [p + c * v for p, v in zip(point, e_image(n, s))]
-            smallest = frozenset(range(n)) - max(flag, key=len)
+    for n, codim in ((4, 1), (5, 1), (5, 2)):
+        for flag in _smallest_equal(n, codim).cones():
+            coords = full_coordinates(_interior_point(n, flag, rng))
+            smallest = frozenset(range(n)) - flag[-1]
             assert len(smallest) == codim + 1
-            cone = SkeletonCone(n, smallest)
-            assert cone.classify(point) == "interior"
+            low = {coords[e] for e in smallest}
+            assert len(low) == 1
+            assert all(coords[e] > min(low) for e in flag[-1])
 
 
 def test_beta_fan_points_have_equal_maxima():
     rng = random.Random(43)
-    fan = beta_fan(4, 1)
-    for flag in fan.cones():
-        point = [Fraction(0)] * 3
-        for s in flag:
-            c = Fraction(rng.randint(1, 9))
-            point = [p + c * v for p, v in zip(point, e_image(4, s))]
-        largest = min(flag, key=len)
+    for flag in _largest_equal(4, 1).cones():
+        coords = full_coordinates(_interior_point(4, flag, rng))
+        largest = flag[0]
         assert len(largest) == 2
-        cone = SkeletonCone(4, largest, negated=True)
-        assert cone.classify(point) == "interior"
+        high = {coords[e] for e in largest}
+        assert len(high) == 1
+        assert all(coords[e] < max(high) for e in range(4) if e not in largest)
 
 
 def test_braid_facets_are_unimodular():
     for n in (3, 4):
-        for flag in _prefix_flags(n, list(range(1, n))):
+        for flag in matroid_fan(Matroid.boolean(n)).cones():
             rays = [e_image(n, s) for s in flag]
             assert lattice_index(rays, n - 1) == 1
-
-
-# ---------------------------------------------------------------------------
-# SkeletonCone
-# ---------------------------------------------------------------------------
-
-
-def test_skeleton_cone_classify():
-    cone = SkeletonCone(3, {1, 2})
-    assert cone.classify((-1, -1)) == "interior"
-    assert cone.classify((0, 0)) == "boundary"
-    assert cone.classify((-1, -2)) == "outside"
-    assert cone.classify((1, 1)) == "outside"
-
-    flipped = SkeletonCone(3, {0, 1}, negated=True)
-    assert flipped.classify((0, -5)) == "interior"
-    assert flipped.classify((0, 0)) == "boundary"
-    assert flipped.classify((0, 5)) == "outside"
-
-
-def test_skeleton_cone_equality_rows_and_span():
-    cone = SkeletonCone(3, {0, 1})
-    assert cone.equality_rows() == [(-1, 0)]
-    basis = cone.span_lattice_basis()
-    assert len(basis) == 1
-    assert basis[0] in ((0, 1), (0, -1))
-
-    full = SkeletonCone(4, {0, 1, 2, 3})
-    assert full.span_lattice_basis() == []
-
-    single = SkeletonCone(4, {2})
-    assert single.equality_rows() == []
-    assert lattice_index(single.span_lattice_basis(), 3) == 1
-
-
-def test_skeleton_cone_rejects_bad_members():
-    with pytest.raises(ValueError):
-        SkeletonCone(3, set())
-    with pytest.raises(ValueError):
-        SkeletonCone(3, {7})

@@ -15,12 +15,10 @@ from matchow import (
     LoopPresent,
     Matroid,
     complete_graph_k4,
-    descent_set,
-    jordan_holder_word,
     poly_q_str,
     triangle_with_pendant,
 )
-from matchow.matroid import builtin
+from matchow.matroid import builtin, descent_set, jordan_holder_word
 
 from conftest import SUITE
 
@@ -43,7 +41,7 @@ def test_unequal_basis_sizes_rejected():
 def test_exchange_axiom_rejected():
     # {0,1} and {2,3} admit no single-element exchange
     with pytest.raises(ExchangeViolation):
-        Matroid.from_bases(4, [{0, 1}, {2, 3}])
+        Matroid(4, [{0, 1}, {2, 3}])
 
 
 def test_elements_out_of_range_rejected():
@@ -51,6 +49,24 @@ def test_elements_out_of_range_rejected():
         Matroid(2, [{0, 5}])
     with pytest.raises(ValueError):
         Matroid(2, [{-1, 0}])
+
+
+def test_bool_and_repeated_elements_rejected():
+    with pytest.raises(ValueError, match="not an integer"):
+        Matroid(2, [[True]])
+    with pytest.raises(ValueError, match="twice"):
+        Matroid(3, [[0, 0]])
+    with pytest.raises(ValueError, match="twice"):
+        Matroid(3, [[0, 1], [2, 2]])
+
+
+def test_rank_zero_has_no_reduced_polynomial():
+    empty = Matroid(0, [[]])
+    assert empty.is_loopless()
+    assert empty.char_poly() == (1,)
+    assert empty.mu_vector() == ()
+    with pytest.raises(KOutOfRange, match="rank-0"):
+        empty.reduced_char_poly()
 
 
 def test_uniform_and_boolean_counts():
@@ -65,8 +81,9 @@ def test_fano_has_28_bases():
     assert f.n_elements == 7
     assert f.rank() == 3
     assert len(f.bases) == 28
-    assert not f.is_independent({0, 1, 2})
-    assert f.is_independent({0, 1, 3})
+    # a line of the plane is dependent, a triangle is a basis
+    assert f.rank({0, 1, 2}) == 2
+    assert f.rank({0, 1, 3}) == 3
 
 
 def test_k4_has_16_spanning_trees():
@@ -75,7 +92,7 @@ def test_k4_has_16_spanning_trees():
     assert k4.rank() == 3
     assert len(k4.bases) == 16
     # elements 0,1,2 form the triangle on vertices {0,1,2}
-    assert not k4.is_independent({0, 1, 2})
+    assert k4.rank({0, 1, 2}) == 2
 
 
 def test_from_graph_rejects_bad_edges():
@@ -202,7 +219,7 @@ def test_weisner_atom_identity():
         lat = m.lattice()
         for atom in lat.flats_by_rank[1]:
             total = sum(
-                lat.mobius[f] for f in lat.flats() if lat.join(f, atom) == lat.top
+                lat.mobius[f] for f in lat.flats() if m.closure(f | atom) == lat.top
             )
             assert total == 0
 

@@ -12,21 +12,17 @@ from matchow import (
     LoopPresent,
     Matroid,
     MultiPoly,
-    brion_degree,
-    chamber_denominator,
     chambers,
     complete_graph_k4,
     deg_pp,
-    generic_point,
-    greedy_basis,
-    pp_constant,
-    pp_power,
-    pp_product,
     rep_alpha,
     rep_beta,
-    rep_bergman,
 )
-from matchow.piecewise import FacetPolynomial
+from matchow.piecewise import chamber_denominator, generic_point, greedy_basis
+
+
+def _difference(n, i, j):
+    return MultiPoly.variable(n, i) - MultiPoly.variable(n, j)
 
 
 def test_greedy_basis_examples():
@@ -38,34 +34,11 @@ def test_greedy_basis_examples():
 
 def test_rep_alpha_beta_chamber_polynomials():
     alpha = rep_alpha(3)
-    assert alpha.parts[(0, 1, 2)] == MultiPoly.linear(3, {0: 1, 2: -1})
-    assert alpha.parts[(1, 2, 0)] == MultiPoly.constant(3, 0)
+    assert alpha.parts[(0, 1, 2)] == _difference(3, 0, 2)
+    assert alpha.parts[(1, 2, 0)] == MultiPoly(3)
     beta = rep_beta(3)
-    assert beta.parts[(0, 1, 2)].is_zero()
-    assert beta.parts[(1, 0, 2)] == MultiPoly.linear(3, {1: 1, 0: -1})
-
-
-def test_rep_bergman_boolean():
-    # every chamber's greedy basis is the whole ground set, so the class is 1
-    assert rep_bergman(Matroid.boolean(3)) == pp_constant(3, 1)
-
-
-def test_rep_bergman_uniform23():
-    fp = rep_bergman(Matroid.uniform(2, 3))
-    # chamber 0 > 1 > 2: greedy keeps {0,1}, leaving the factor t_0 - t_2
-    assert fp.parts[(0, 1, 2)] == MultiPoly.linear(3, {0: 1, 2: -1})
-    # chamber 2 > 1 > 0: the reference element 0 itself is outside the greedy
-    # basis, so the representative vanishes on that chamber
-    assert fp.parts[(2, 1, 0)].is_zero()
-
-
-def test_facet_polynomial_validation():
-    with pytest.raises(ValueError):
-        FacetPolynomial(3, {(0, 1, 2): MultiPoly.constant(3, 1)})
-    with pytest.raises(ValueError):
-        pp_product(pp_constant(3), pp_constant(4))
-    with pytest.raises(ValueError):
-        pp_power(pp_constant(3), -1)
+    assert beta.parts[(0, 1, 2)] == MultiPoly(3)
+    assert beta.parts[(1, 0, 2)] == _difference(3, 1, 0)
 
 
 def test_chamber_denominator_degenerate():
@@ -86,68 +59,37 @@ def test_constant_chamber_sum_vanishes():
     # sum over chambers of 1/denominator is identically zero for n >= 2
     for n in (2, 3, 4):
         pt = generic_point(n, 7)
-        assert brion_degree(pp_constant(n, 5), pt) == 0
+        assert sum(Fraction(5) / chamber_denominator(c, pt) for c in chambers(n)) == 0
 
 
 def test_single_chamber_flag_monomial_has_degree_one():
     # the full product of consecutive differences on one chamber cancels the
     # denominator exactly; every other chamber carries zero
-    n = 3
-    poly = MultiPoly.linear(n, {0: 1, 1: -1}) * MultiPoly.linear(n, {1: 1, 2: -1})
-    parts = {c: MultiPoly.constant(n, 0) for c in chambers(n)}
-    parts[(0, 1, 2)] = poly
-    fp = FacetPolynomial(n, parts)
-    for seed in (1, 2, 3):
-        assert brion_degree(fp, generic_point(n, seed)) == 1
-
-
-def test_symbolic_product_route_matches_deg_pp():
-    for m in (Matroid.uniform(2, 3), Matroid.boolean(3), Matroid.uniform(2, 4)):
-        n = m.n_elements
-        r = m.rank() - 1
-        bergman = rep_bergman(m)
-        for k in range(r + 1):
-            fp = pp_product(
-                pp_product(pp_power(rep_alpha(n), r - k), pp_power(rep_beta(n), k)),
-                bergman,
-            )
-            value = brion_degree(fp, generic_point(n, 11))
-            assert value == deg_pp(m, k)
-            assert value == m.mu(k)
+    for n in (3, 4):
+        for seed in (1, 2, 3):
+            pt = generic_point(n, seed)
+            for c in chambers(n):
+                numerator = Fraction(1)
+                for a, b in zip(c, c[1:]):
+                    numerator *= pt[a] - pt[b]
+                assert numerator / chamber_denominator(c, pt) == 1
 
 
 def test_reference_element_does_not_change_degree():
-    # the classes built from reference element 1 differ per chamber but give
-    # the same chamber-summed degrees
+    # the chamber sum built from reference element 1 differs chamber by
+    # chamber from deg_pp's (reference element 0) but sums to the same degree
     for m in (Matroid.uniform(2, 3), Matroid.boolean(3)):
         n = m.n_elements
         r = m.rank() - 1
+        pt = generic_point(n, 19)
         for k in range(r + 1):
-            fp = pp_product(
-                pp_product(
-                    pp_power(rep_alpha(n, f=1), r - k), pp_power(rep_beta(n, f=1), k)
-                ),
-                rep_bergman(m, f=1),
-            )
-            assert brion_degree(fp, generic_point(n, 19)) == m.mu(k)
-
-
-def test_alpha_difference_is_globally_linear():
-    # t_i - t_last minus t_j - t_last collapses to t_i - t_j on every chamber
-    for n in (3, 4, 5):
-        for i, j in ((0, 1), (1, 2), (0, n - 1)):
-            diff_alpha = {
-                c: rep_alpha(n, f=i).parts[c] - rep_alpha(n, f=j).parts[c]
-                for c in chambers(n)
-            }
-            diff_beta = {
-                c: rep_beta(n, f=i).parts[c] - rep_beta(n, f=j).parts[c]
-                for c in chambers(n)
-            }
-            expected = MultiPoly.linear(n, {i: 1, j: -1})
+            total = Fraction(0)
             for c in chambers(n):
-                assert diff_alpha[c] == expected
-                assert diff_beta[c] == expected * Fraction(-1)
+                num = (pt[1] - pt[c[-1]]) ** (r - k) * (pt[c[0]] - pt[1]) ** k
+                for i in set(range(n)) - greedy_basis(m, c):
+                    num *= pt[1] - pt[i]
+                total += num / chamber_denominator(c, pt)
+            assert total == m.mu(k)
 
 
 def test_deg_pp_matches_mu(suite_matroid, fig1):
@@ -168,5 +110,3 @@ def test_deg_pp_guards():
     looped = Matroid.from_graph([(0, 0), (0, 1)])
     with pytest.raises(LoopPresent):
         deg_pp(looped, 0)
-    with pytest.raises(LoopPresent):
-        rep_bergman(looped)

@@ -15,12 +15,12 @@ from matchow import (
     Matroid,
     complete_graph_k4,
     deg_stable,
-    displacement_vectors,
     intersect_triple,
     stable_intersection_points,
-    surviving_flags,
 )
-from matchow.stable import _check_monotone
+from matchow.chowlex import surviving_flags
+from matchow.exact import integer_kernel, lattice_index
+from matchow.stable import _check_monotone, _equality_rows, displacement_vectors
 
 fs = frozenset
 
@@ -50,6 +50,31 @@ def test_check_monotone_rejects_bad_vectors():
         _check_monotone(3, _int_vec(-1, -2), _int_vec(2, 1))
     with pytest.raises(ValueError):
         _check_monotone(4, _int_vec(-1, -2), _int_vec(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# equality rows and the span lattices they cut out
+# ---------------------------------------------------------------------------
+
+
+def test_equality_rows_and_span_lattice():
+    # x_0 = x_1 with x_0 pinned: the row reads -x_1 = 0, the span is the x_2 axis
+    rows = _equality_rows(3, fs({0, 1}))
+    assert rows == [(-1, 0)]
+    basis = integer_kernel(rows, 2)
+    assert len(basis) == 1
+    assert basis[0] in ((0, 1), (0, -1))
+    # all coordinates equal: only the origin survives in the quotient
+    assert integer_kernel(_equality_rows(4, fs({0, 1, 2, 3})), 3) == []
+    # a single element imposes nothing
+    assert _equality_rows(4, fs({2})) == []
+    assert lattice_index(integer_kernel([], 3), 3) == 1
+    # a row's dot product with a displacement is that displacement's gap
+    a = _int_vec(-1, -2, -3)
+    full = (0,) + a
+    for s, t in ((0, 2), (1, 3)):
+        (row,) = _equality_rows(4, fs({s, t}))
+        assert sum(x * o for x, o in zip(row, a)) == full[s] - full[t]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,8 @@ from matchow import (
     KOutOfRange,
     LoopPresent,
     Matroid,
-    PLFunction,
     RangeError,
     Unbalanced,
-    WeightedFan,
-    alpha_fan,
-    beta_fan,
     complete_graph_k4,
     deg_tropical,
     divisor,
@@ -28,6 +24,8 @@ from matchow import (
     pl_linear,
     truncation_weight,
 )
+from matchow.fan import WeightedFan
+from matchow.tropical import PLFunction
 
 fs = frozenset
 
@@ -93,10 +91,13 @@ def test_pl_function_rejects_improper_rays():
 
 
 def test_divisor_of_alpha_on_beta_fan():
-    out = divisor(pl_alpha(3), beta_fan(3, 1))
+    # on boolean(3) the window [2, 2] is the locus where the two largest
+    # coordinates agree, and [1, 1] where the two smallest agree
+    b3 = Matroid.boolean(3)
+    out = divisor(pl_alpha(3), truncation_weight(b3, 2, 2))
     assert out.dim == 0
     assert out.weights == {(): Fraction(2)}
-    out = divisor(pl_beta(3), alpha_fan(3, 1))
+    out = divisor(pl_beta(3), truncation_weight(b3, 1, 1))
     assert out.weights == {(): Fraction(2)}
 
 
