@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Tuple
 
-from .errors import KOutOfRange, LoopPresent
 from .matroid import Matroid
 
 Flat = FrozenSet[int]
@@ -50,11 +49,7 @@ def lex_expand_beta(m: Matroid, mono: FlagMonomial) -> List[FlagMonomial]:
 
 def surviving_flags(m: Matroid, k: int) -> List[FlagMonomial]:
     """The complete flags left by the beta^k alpha^(r-k) expansion."""
-    if not m.is_loopless():
-        raise LoopPresent("flag expansion needs a loopless matroid")
-    r = m.rank() - 1
-    if not (0 <= k <= r):
-        raise KOutOfRange(f"k={k} outside 0..{r}")
+    r = m.degree_rank(k)
     layer: List[FlagMonomial] = [()]
     for _ in range(k):
         layer = [child for mono in layer for child in lex_expand_beta(m, mono)]

@@ -7,8 +7,8 @@ Subcommands:
   balancing    verify the matroid fan and every truncation window balance
 
 Exit codes: 0 success, 2 parse/usage errors, 3 matroid axiom violations,
-4 loops where a loopless matroid is required, 5 value mismatches or failed
-balancing (a certificate cone is printed).
+4 loops where a loopless matroid is required, 5 value mismatches, failed
+balancing (a certificate cone is printed) or any other internal error.
 """
 
 from __future__ import annotations
@@ -76,7 +76,13 @@ def _load_matroid(args) -> tuple[Matroid, str]:
             data = json.load(fh)
         if not isinstance(data, dict) or "n_elements" not in data or "bases" not in data:
             raise ValueError("bases file must be a JSON object with n_elements and bases")
-        m = Matroid(int(data["n_elements"]), data["bases"])
+        n, bases = data["n_elements"], data["bases"]
+        # bool is an int subclass, and int() would truncate 3.9 or parse "3"
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n_elements must be a JSON integer, got {n!r}")
+        if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
+            raise ValueError("bases must be a list of lists of elements")
+        m = Matroid(n, bases)
         return m, f"bases[n={m.n_elements},rank={m.rank()}]"
     with open(args.graph) as fh:
         text = fh.read()
@@ -309,6 +315,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 5
     except (AssertionError, DegenerateSystem, DegeneratePoint, NotFullRank) as exc:
         print(f"internal cross-assertion failed: {exc}", file=sys.stderr)
+        return 5
+    except Exception as exc:  # anything unforeseen still gets one line, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
 
 

@@ -171,19 +171,6 @@ def solve_linear(
     return "unique", tuple(solution)
 
 
-def in_rational_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
-    """Whether target lies in the rational span of the given vectors."""
-    vecs = [v for v in vectors]
-    width = len(target)
-    if not vecs:
-        return all(Fraction(x) == 0 for x in target)
-    matrix = [[Fraction(v[i]) for v in vecs] for i in range(width)]
-    status, _ = solve_linear(matrix, [Fraction(x) for x in target])
-    if status == "inconsistent":
-        return False
-    return True
-
-
 def smith_invariant_factors(rows: Iterable[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 

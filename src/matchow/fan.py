@@ -8,16 +8,17 @@ class of e_S maps to ([i in S] - [0 in S])_{i=1..n}.
 Cones of the braid fan are stored combinatorially as flags of proper
 nonempty subsets of E; the cone spanned by {e_S : S in flag} recovers the
 geometry.  A weighted fan is a dict from same-dimension flags to nonzero
-rational weights.
+rational weights.  Balancing is tested by blocks, not by a linear solve: a
+point lies in the span of a flag's rays iff its full coordinates are
+constant on each block S_1, S_2 - S_1, ..., E - S_d of the flag.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import LoopPresent, Unbalanced
-from .exact import in_rational_span
 from .matroid import Matroid
 
 Subset = FrozenSet[int]
@@ -41,15 +42,18 @@ def full_coordinates(point: Sequence) -> Tuple[Fraction, ...]:
     return (Fraction(0),) + tuple(Fraction(x) for x in point)
 
 
-def validate_flag(n_elements: int, flag: FlagCone) -> None:
-    full = frozenset(range(n_elements))
-    prev: Optional[Subset] = None
-    for s in flag:
-        if not s or s == full or not s <= full:
-            raise ValueError(f"flag member {sorted(s)} is not a proper nonempty subset")
-        if prev is not None and not prev < s:
-            raise ValueError("flag subsets must be strictly nested")
+def flag_parts(n_elements: int, flag: FlagCone) -> List[Subset]:
+    """The blocks S_1, S_2 - S_1, ..., E - S_d of a flag of subsets of E;
+    raises ValueError unless the flag strictly nests proper nonempty subsets."""
+    parts = []
+    prev: Subset = frozenset()
+    for s in (*flag, frozenset(range(n_elements))):
+        if not prev < s:
+            flag_text = [sorted(t) for t in flag]
+            raise ValueError(f"flag {flag_text} is not a strict chain of proper nonempty subsets")
+        parts.append(s - prev)
         prev = s
+    return parts
 
 
 def level_prefixes(n_elements: int, point: Sequence) -> list[Tuple[Fraction, Subset]]:
@@ -95,7 +99,7 @@ class WeightedFan:
             flag = tuple(frozenset(s) for s in flag)
             if len(flag) != dim:
                 raise ValueError(f"cone {flag} has dimension {len(flag)}, expected {dim}")
-            validate_flag(n_elements, flag)
+            flag_parts(n_elements, flag)
             w = Fraction(w)
             if w != 0:
                 clean[flag] = w
@@ -135,48 +139,50 @@ def matroid_fan(m: Matroid) -> WeightedFan:
     """Unit weights on the complete flags of proper nonempty flats."""
     if not m.is_loopless():
         raise LoopPresent("the flag fan of a matroid with loops is not defined here")
-    lat = m.lattice()
     r = m.rank() - 1
-
-    def grow(flag: FlagCone, last: Subset) -> Iterator[FlagCone]:
-        if len(flag) == r:
-            yield flag
-            return
-        for g in lat.covers_above(last):
-            if g != lat.top:
-                yield from grow(flag + (g,), g)
-
-    flags = grow((), lat.bottom)
+    flags = m.lattice().chains(1, r)
     return WeightedFan(m.n_elements, r, {f: Fraction(1) for f in flags})
+
+
+def in_rational_span(flag: FlagCone, point: Sequence) -> bool:
+    """Whether a quotient point lies in the linear span of the flag's rays.
+
+    With the all-ones line, the e_S for S in the flag span exactly the
+    vectors that are constant on each block of the flag.
+    """
+    coords = full_coordinates(point)
+    blocks = flag_parts(len(coords), flag)
+    return all(len({coords[e] for e in block}) == 1 for block in blocks)
 
 
 def codim_one_stars(
     fan: WeightedFan,
-) -> list[Tuple[FlagCone, list[Tuple[Subset, Fraction]]]]:
+) -> list[Tuple[FlagCone, list[Tuple[Subset, Fraction]], Tuple[Fraction, ...]]]:
     """Every codimension-one face tau in canonical order, with the extra ray
-    and weight of each cone of the fan that contains it."""
+    and weight of each cone of the fan that contains it, and the weighted
+    sum of those extra rays in quotient coordinates."""
+    n = fan.n_elements
     stars: Dict[FlagCone, list] = {}
     for sigma, w in fan.weights.items():
         for i, extra in enumerate(sigma):
             stars.setdefault(sigma[:i] + sigma[i + 1 :], []).append((extra, w))
-    return sorted(stars.items(), key=lambda star: flag_key(star[0]))
+    out = []
+    for tau in sorted(stars, key=flag_key):
+        # Full coordinates of the sum of w * e_S add w to each member of S;
+        # pinning element 0 to zero turns them into quotient coordinates.
+        full = [Fraction(0)] * n
+        for extra, w in stars[tau]:
+            for e in extra:
+                full[e] += w
+        out.append((tau, stars[tau], tuple(x - full[0] for x in full[1:])))
+    return out
 
 
 def balancing_certificate(fan: WeightedFan) -> Optional[FlagCone]:
-    """First codimension-one cone where the weighted rays fail to balance.
-
-    Around a face tau, the sum of w(sigma) * e_(extra ray of sigma) must lie
-    in the linear span of tau; returns None when every face passes.
-    """
-    if fan.dim == 0:
-        return None
-    n = fan.n_elements
-    for tau, star in codim_one_stars(fan):
-        total = [Fraction(0)] * (n - 1)
-        for extra, w in star:
-            total = [t + w * v for t, v in zip(total, e_image(n, extra))]
-        span = [e_image(n, s) for s in tau]
-        if not in_rational_span(span, total):
+    """First codimension-one face, in canonical order, whose weighted sum of
+    extra rays leaves its span; None when the fan is balanced."""
+    for tau, _, total in codim_one_stars(fan):
+        if not in_rational_span(tau, total):
             return tau
     return None
 

@@ -132,18 +132,20 @@ class FlatLattice:
     def covers_above(self, flat: Flat) -> Tuple[Flat, ...]:
         return self._covers_above.get(flat, ())
 
+    def chains(self, lo: int, hi: int) -> Iterator[Chain]:
+        """Saturated chains F_lo < ... < F_hi of flats with rank(F_i) = i; for
+        hi = lo - 1 the single empty chain, and none for hi < lo - 1."""
+        if hi < lo:
+            if hi == lo - 1:
+                yield ()
+            return
+        for chain in self.chains(lo, hi - 1):
+            for g in self.covers_above(chain[-1]) if chain else self.flats_by_rank[lo]:
+                yield chain + (g,)
+
     def maximal_chains(self) -> Iterator[Chain]:
         """All chains bottom = F_0 < F_1 < ... < F_rank = top."""
-
-        def extend(chain: tuple) -> Iterator[Chain]:
-            last = chain[-1]
-            if last == self.top:
-                yield chain
-                return
-            for g in self._covers_above[last]:
-                yield from extend(chain + (g,))
-
-        yield from extend((self.bottom,))
+        return self.chains(0, len(self.flats_by_rank) - 1)
 
 
 def jordan_holder_word(chain: Chain) -> Tuple[int, ...]:
@@ -175,6 +177,8 @@ class Matroid:
     __slots__ = ("n_elements", "bases", "_rank_cache", "_lattice")
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
+        if n_elements < 0:
+            raise ValueError(f"n_elements={n_elements} is negative")
         basis_list = [tuple(b) for b in bases]
         for b in basis_list:
             for e in b:
@@ -215,10 +219,12 @@ class Matroid:
     @classmethod
     def from_graph(cls, edges: Sequence[Sequence]) -> "Matroid":
         """Cycle matroid of a multigraph; elements are edge indices in input order."""
-        edges = [tuple(e) for e in edges]
+        edges = list(edges)
         for e in edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {e!r} is not a vertex pair")
+            pair = isinstance(e, (list, tuple)) and len(e) == 2
+            # type() rather than isinstance(): a bool is no name for a vertex
+            if not pair or not {type(v) for v in e} <= {int, str}:
+                raise ValueError(f"edge {e!r} is not a pair of int or string vertices")
         vertices = {v for e in edges for v in e}
         index = {v: i for i, v in enumerate(sorted(vertices, key=repr))}
 
@@ -324,6 +330,15 @@ class Matroid:
                 )
         return tuple(coeffs)
 
+    def degree_rank(self, k: int) -> int:
+        """r = rank - 1 for a loopless matroid with 0 <= k <= r: every degree route's guard."""
+        if not self.is_loopless():
+            raise LoopPresent("degree needs a loopless matroid")
+        r = self.rank() - 1
+        if not (0 <= k <= r):
+            raise KOutOfRange(f"k={k} outside 0..{r}")
+        return r
+
     def reduced_char_poly(self) -> Tuple[int, ...]:
         """Coefficients of chi(q)/(q-1), ascending; requires looplessness.
 
@@ -340,9 +355,7 @@ class Matroid:
 
     def mu(self, k: int) -> int:
         """Unsigned coefficient of q^(r-k) in the reduced characteristic polynomial."""
-        r = self.rank() - 1
-        if not (0 <= k <= r):
-            raise KOutOfRange(f"k={k} outside 0..{r}")
+        r = self.degree_rank(k)
         reduced = self.reduced_char_poly()
         return abs(reduced[r - k])
 

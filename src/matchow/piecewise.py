@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .errors import DegeneratePoint, KOutOfRange, LoopPresent
+from .errors import DegeneratePoint
 from .exact import MultiPoly
 from .matroid import Matroid
 
@@ -98,11 +98,7 @@ def deg_pp(m: Matroid, k: int, seed: int = 0) -> int:
     is a ring map, so this equals evaluating the expanded product), at two
     generic points whose values must agree and be an integer.
     """
-    if not m.is_loopless():
-        raise LoopPresent("degree needs a loopless matroid")
-    r = m.rank() - 1
-    if not (0 <= k <= r):
-        raise KOutOfRange(f"k={k} outside 0..{r}")
+    r = m.degree_rank(k)
     n = m.n_elements
     perms = chambers(n)
     greedy = {c: greedy_basis(m, c) for c in perms}

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import DegenerateSystem, KOutOfRange, LoopPresent, NotFullRank
+from .errors import DegenerateSystem, NotFullRank
 from .exact import integer_kernel, lattice_index, solve_linear
-from .fan import FlagCone, e_image, full_coordinates, matroid_fan
+from .fan import FlagCone, e_image, flag_parts, full_coordinates, matroid_fan
 from .matroid import Matroid
 
 Subset = FrozenSet[int]
@@ -73,18 +73,6 @@ class IntersectionPoint:
     index: int
 
 
-def _flag_parts(n_elements: int, flag: FlagCone) -> List[Subset]:
-    parts = []
-    prev: Subset = frozenset()
-    for s in flag:
-        parts.append(s - prev)
-        prev = s
-    parts.append(frozenset(range(n_elements)) - prev)
-    if any(not p for p in parts):
-        raise ValueError("flag is not strictly nested")
-    return parts
-
-
 def _equality_rows(n_elements: int, group: Subset) -> List[Tuple[int, ...]]:
     """Quotient-coordinate rows x_s - x_t for consecutive members s < t.
 
@@ -120,7 +108,7 @@ def intersect_triple(
     _check_monotone(n_el, a, b)
     I = frozenset(smallest)
     J = frozenset(largest)
-    parts = _flag_parts(n_el, flag)
+    parts = flag_parts(n_el, flag)
 
     # Two members of I inside one part would force two equal entries of a
     # (likewise for J and b), and I meeting J twice would force an a-gap to
@@ -182,11 +170,7 @@ def stable_intersection_points(
     m: Matroid, k: int, seed: int = 0
 ) -> Tuple[List[IntersectionPoint], Tuple[Vector, Vector]]:
     """All meeting points for one generic displacement pair, redrawing on ties."""
-    if not m.is_loopless():
-        raise LoopPresent("degree needs a loopless matroid")
-    r = m.rank() - 1
-    if not (0 <= k <= r):
-        raise KOutOfRange(f"k={k} outside 0..{r}")
+    r = m.degree_rank(k)
     n_el = m.n_elements
     flags = matroid_fan(m).cones()
     smalls = list(itertools.combinations(range(n_el), r - k + 1))

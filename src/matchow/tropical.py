@@ -8,7 +8,9 @@ braid_cone_of uses).
 The divisor of f on a balanced weight w assigns to each codimension-one
 face tau the value sum_sigma f(w(sigma) e_(sigma/tau)) minus
 f(sum_sigma w(sigma) e_(sigma/tau)); both f-arguments are honest points of
-the ambient space and f is evaluated there as a genuine PL function.
+the ambient space and f is evaluated there as a genuine PL function.  The
+second argument is also the vector the balancing condition tests, so the
+divisor checks that w is balanced in the same walk over the faces.
 
 Iterating the two tropical hyperplane classes walks the rank window of the
 truncation weights down to a number: beta trims the window from below,
@@ -22,12 +24,14 @@ import itertools
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, Mapping, Sequence
 
-from .errors import KOutOfRange, LoopPresent, RangeError
+from .errors import LoopPresent, RangeError, Unbalanced
 from .fan import (
     FlagCone,
     WeightedFan,
     codim_one_stars,
     e_image,
+    flag_parts,
+    in_rational_span,
     level_prefixes,
     matroid_fan,
     require_balanced,
@@ -44,11 +48,9 @@ class PLFunction:
 
     def __init__(self, n_elements: int, ray_values: Mapping[Subset, Fraction]):
         table: Dict[Subset, Fraction] = {}
-        full = frozenset(range(n_elements))
         for s, v in ray_values.items():
             s = frozenset(s)
-            if not s or s >= full:
-                raise ValueError(f"ray index {sorted(s)} is not a proper nonempty subset")
+            flag_parts(n_elements, (s,))  # a ray is a one-member flag
             table[s] = Fraction(v)
         self.n_elements = n_elements
         self.ray_values = table
@@ -103,21 +105,21 @@ def pl_linear(n_elements: int, coeffs: Mapping[int, int]) -> PLFunction:
 
 
 def divisor(f: PLFunction, w: WeightedFan) -> WeightedFan:
-    """Weight on each codimension-one face measuring the failure of f to be linear."""
+    """Weight on each codimension-one face measuring the failure of f to be linear.
+
+    Raises Unbalanced at the first face, in canonical order, where w does not balance."""
     if f.n_elements != w.n_elements:
         raise ValueError("ground set mismatch")
     if w.dim == 0:
         raise ValueError("cannot take the divisor of a 0-dimensional weight")
-    require_balanced(w)
     n = w.n_elements
     out: Dict[FlagCone, Fraction] = {}
-    for tau, star in codim_one_stars(w):
+    for tau, star, combined in codim_one_stars(w):
+        if not in_rational_span(tau, combined):
+            raise Unbalanced(tau)
         linear_part = Fraction(0)
-        combined = [Fraction(0)] * (n - 1)
         for extra, weight in star:
-            ray = e_image(n, extra)
-            linear_part += f([weight * x for x in ray])
-            combined = [c + weight * x for c, x in zip(combined, ray)]
+            linear_part += f([weight * x for x in e_image(n, extra)])
         value = linear_part - f(combined)
         if value != 0:
             out[tau] = value
@@ -132,17 +134,9 @@ def truncation_weight(m: Matroid, r1: int, r2: int) -> WeightedFan:
     if not (1 <= r1 <= r2 <= r):
         raise RangeError(f"rank window [{r1}, {r2}] outside 1 <= r1 <= r2 <= {r}")
     lat = m.lattice()
-    weights: Dict[FlagCone, Fraction] = {}
-
-    def grow(flag: FlagCone, rank: int) -> None:
-        if rank == r2:
-            weights[flag] = Fraction(abs(lat.mobius[flag[0]]))
-            return
-        for g in lat.covers_above(flag[-1]):
-            grow(flag + (g,), rank + 1)
-
-    for f0 in lat.flats_by_rank[r1]:
-        grow((f0,), r1)
+    weights = {
+        flag: Fraction(abs(lat.mobius[flag[0]])) for flag in lat.chains(r1, r2)
+    }
     fan = WeightedFan(m.n_elements, r2 - r1 + 1, weights)
     require_balanced(fan)
     return fan
@@ -150,11 +144,7 @@ def truncation_weight(m: Matroid, r1: int, r2: int) -> WeightedFan:
 
 def deg_tropical(m: Matroid, k: int) -> int:
     """Apply beta k times then alpha r-k times to the matroid fan; read the origin."""
-    if not m.is_loopless():
-        raise LoopPresent("degree needs a loopless matroid")
-    r = m.rank() - 1
-    if not (0 <= k <= r):
-        raise KOutOfRange(f"k={k} outside 0..{r}")
+    r = m.degree_rank(k)
     w = matroid_fan(m)
     beta = pl_beta(m.n_elements)
     alpha = pl_alpha(m.n_elements)

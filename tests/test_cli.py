@@ -244,6 +244,48 @@ def test_bases_repeated_element_is_exit_2(capsys, tmp_path):
     assert err == "error: basis [0, 0] lists an element twice\n"
 
 
+U23_BASES = [[0, 1], [0, 2], [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "flag, payload",
+    [
+        ("--bases", {"n_elements": 3.9, "bases": U23_BASES}),
+        ("--bases", {"n_elements": True, "bases": [[0]]}),
+        ("--bases", {"n_elements": "3", "bases": U23_BASES}),
+        ("--bases", {"n_elements": -1, "bases": [[]]}),
+        ("--bases", {"n_elements": 3, "bases": 5}),
+        ("--bases", {"n_elements": 3, "bases": [5]}),
+        ("--graph", {"edges": [5]}),
+        ("--graph", {"edges": [[0, [1]]]}),
+    ],
+    ids=[
+        "n-float", "n-bool", "n-string", "n-negative",
+        "bases-int", "basis-int", "edge-int", "edge-nested",
+    ],
+)
+def test_malformed_file_is_exit_2(capsys, tmp_path, flag, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "invariants", flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unmapped_exception_is_one_line_exit_5(capsys, monkeypatch):
+    def fail(m, k, seed):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(cli.METHODS, "lex", fail)
+    code, out, err = run(
+        capsys, "deg", "--uniform", "2", "3", "--k", "0", "--method", "lex"
+    )
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: unexpected\n"
+
+
 def test_empty_ground_set_invariants(capsys):
     code, out, err = run(capsys, "invariants", "--uniform", "0", "0")
     assert code == 0

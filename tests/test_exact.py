@@ -10,7 +10,6 @@ import pytest
 from matchow import MultiPoly, NotFullRank
 from matchow.exact import (
     hermite_row_reduce,
-    in_rational_span,
     integer_kernel,
     lattice_index,
     smith_invariant_factors,
@@ -160,7 +159,7 @@ def test_kernel_plus_row_space_rebuilds_finite_index():
 
 
 # ---------------------------------------------------------------------------
-# solve_linear / in_rational_span
+# solve_linear
 # ---------------------------------------------------------------------------
 
 
@@ -179,13 +178,6 @@ def test_solve_linear_inconsistent_and_underdetermined():
     assert status == "inconsistent"
     status, _ = solve_linear([[one, one], [Fraction(2), Fraction(2)]], [one, Fraction(2)])
     assert status == "underdetermined"
-
-
-def test_in_rational_span():
-    assert in_rational_span([(1, 1, 0), (0, 0, 1)], (2, 2, 5))
-    assert not in_rational_span([(1, 1, 0)], (1, 2, 0))
-    assert in_rational_span([], (0, 0))
-    assert not in_rational_span([], (1, 0))
 
 
 # ---------------------------------------------------------------------------

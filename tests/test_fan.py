@@ -13,19 +13,24 @@ from matchow import (
     Matroid,
     Unbalanced,
     braid_cone_of,
+    deg_lex,
+    deg_pp,
+    deg_stable,
+    deg_tropical,
     e_image,
     full_coordinates,
     is_balanced,
     matroid_fan,
     truncation_weight,
 )
-from matchow.exact import lattice_index
+from matchow.exact import lattice_index, solve_linear
 from matchow.fan import (
     WeightedFan,
     balancing_certificate,
     codim_one_stars,
+    flag_parts,
+    in_rational_span,
     require_balanced,
-    validate_flag,
 )
 
 
@@ -64,7 +69,7 @@ def test_braid_cone_contains_its_point():
         n = rng.randint(2, 5)
         pt = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n - 1))
         flag = braid_cone_of(n, pt)
-        validate_flag(n, flag)
+        flag_parts(n, flag)
         # the point is a nonnegative combination of the flag generators:
         # rebuild it from the level gaps and compare
         coords = full_coordinates(pt)
@@ -77,13 +82,22 @@ def test_braid_cone_contains_its_point():
 
 
 def test_validate_flag_errors():
-    with pytest.raises(ValueError):
-        validate_flag(3, (frozenset(),))
-    with pytest.raises(ValueError):
-        validate_flag(3, (frozenset({0, 1, 2}),))
-    with pytest.raises(ValueError):
-        validate_flag(3, (frozenset({1}), frozenset({2})))
-    validate_flag(3, (frozenset({1}), frozenset({1, 2})))
+    for flag in (
+        (frozenset(),),
+        (frozenset({0, 1, 2}),),
+        (frozenset({1}), frozenset({2})),
+        (frozenset({1}), frozenset({1})),
+        (frozenset({3}),),
+    ):
+        with pytest.raises(ValueError):
+            flag_parts(3, flag)
+        with pytest.raises(ValueError):
+            WeightedFan(3, len(flag), {flag: 1})
+    assert flag_parts(3, (frozenset({1}), frozenset({1, 2}))) == [
+        frozenset({1}),
+        frozenset({2}),
+        frozenset({0}),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +187,7 @@ def test_zero_dimensional_fan_trivially_balanced():
 
 def test_codim_one_stars_of_boolean3():
     stars = codim_one_stars(matroid_fan(Matroid.boolean(3)))
-    assert [tau for tau, _ in stars] == [
+    assert [tau for tau, _, _ in stars] == [
         (frozenset({0}),),
         (frozenset({0, 1}),),
         (frozenset({0, 2}),),
@@ -182,9 +196,72 @@ def test_codim_one_stars_of_boolean3():
         (frozenset({2}),),
     ]
     # each ray of the hexagon fan lies in exactly two of its six cones
-    tau, star = stars[0]
+    tau, star, total = stars[0]
     assert sorted(sorted(extra) for extra, _ in star) == [[0, 1], [0, 2]]
     assert all(w == 1 for _, w in star)
+    # e_{01} + e_{02} = e_{0} modulo the all-ones line
+    assert total == e_image(3, {0})
+    for tau, star, total in stars:
+        expected = [Fraction(0)] * 2
+        for extra, w in star:
+            expected = [x + w * v for x, v in zip(expected, e_image(3, extra))]
+        assert total == tuple(expected)
+
+
+def test_in_rational_span():
+    fs = frozenset
+    assert in_rational_span((fs({1}),), (2, 0))
+    assert not in_rational_span((fs({1}),), (1, 2))
+    assert in_rational_span((fs({1, 2}),), (Fraction(3, 2), Fraction(3, 2)))
+    # e_{0} is minus e_{12}: both name the same line
+    assert in_rational_span((fs({0}),), (-5, -5))
+    assert not in_rational_span((fs({0}),), (-5, 0))
+    # a complete flag spans the whole quotient
+    assert in_rational_span((fs({0}), fs({0, 2})), (3, 7))
+    assert in_rational_span((), (0, 0))
+    assert not in_rational_span((), (1, 0))
+    with pytest.raises(ValueError):
+        in_rational_span((fs({1}), fs({1})), (0, 0))
+
+
+def _span_reference(flag, point) -> bool:
+    """The span test as a rational linear system in the flag's rays."""
+    n = len(point) + 1
+    rays = [e_image(n, s) for s in flag]
+    matrix = [[Fraction(ray[i]) for ray in rays] for i in range(n - 1)]
+    status, _ = solve_linear(matrix, [Fraction(x) for x in point])
+    return status != "inconsistent"
+
+
+def test_in_rational_span_matches_linear_solve(suite_matroid):
+    rng = random.Random(53)
+    m = suite_matroid
+    n, r = m.n_elements, m.rank() - 1
+    fans = [matroid_fan(m)] + [
+        truncation_weight(m, r1, r2) for r1 in range(1, r + 1) for r2 in range(r1, r + 1)
+    ]
+    verdicts = set()
+    for fan in fans:
+        for tau, _, total in codim_one_stars(fan):
+            points = [total] + [
+                tuple(rng.randint(-1, 1) for _ in range(n - 1)) for _ in range(3)
+            ]
+            for point in points:
+                verdict = in_rational_span(tau, point)
+                assert verdict == _span_reference(tau, point)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_rank_one_uniform(n):
+    m = Matroid.uniform(1, n)
+    fan = matroid_fan(m)
+    assert fan.dim == 0
+    assert fan.weights == {(): Fraction(1)}
+    assert is_balanced(fan) == (True, None)
+    assert deg_lex(m, 0) == deg_pp(m, 0) == deg_stable(m, 0) == deg_tropical(m, 0) == 1
+    assert m.mu(0) == m.chains_with_descent_set(()) == 1
 
 
 # ---------------------------------------------------------------------------

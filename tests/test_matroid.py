@@ -58,6 +58,8 @@ def test_bool_and_repeated_elements_rejected():
         Matroid(3, [[0, 0]])
     with pytest.raises(ValueError, match="twice"):
         Matroid(3, [[0, 1], [2, 2]])
+    with pytest.raises(ValueError, match="negative"):
+        Matroid(-1, [[]])
 
 
 def test_rank_zero_has_no_reduced_polynomial():
@@ -96,8 +98,9 @@ def test_k4_has_16_spanning_trees():
 
 
 def test_from_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        Matroid.from_graph([(0, 1, 2)])
+    for edges in ([(0, 1, 2)], [5], [(0, [1])], [(0, True)], [(0, 1.5)]):
+        with pytest.raises(ValueError, match="not a pair"):
+            Matroid.from_graph(edges)
 
 
 def test_builtin_lookup():

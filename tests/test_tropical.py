@@ -24,7 +24,7 @@ from matchow import (
     pl_linear,
     truncation_weight,
 )
-from matchow.fan import WeightedFan
+from matchow.fan import WeightedFan, balancing_certificate
 from matchow.tropical import PLFunction
 
 fs = frozenset
@@ -108,9 +108,24 @@ def test_divisor_of_linear_function_vanishes(suite_matroid):
 
 
 def test_divisor_requires_balanced_input():
-    bad = matroid_fan(Matroid.uniform(2, 3)).reweighted((fs({0}),), 2)
-    with pytest.raises(Unbalanced):
-        divisor(pl_alpha(3), bad)
+    # divisor checks balancing in its own star walk; it must stop at the
+    # same first failing face that the separate balancing walk reports
+    fano_fan = matroid_fan(Matroid.fano())
+    k4_fan = matroid_fan(complete_graph_k4())
+    for bad, expected in (
+        (matroid_fan(Matroid.uniform(2, 3)).reweighted((fs({0}),), 2), ()),
+        (matroid_fan(Matroid.boolean(3)).reweighted((fs({0}), fs({0, 1})), 2), (fs({0}),)),
+        (fano_fan.reweighted(fano_fan.cones()[-1], 3), None),
+        (k4_fan.reweighted(k4_fan.cones()[5], -1), None),
+    ):
+        certificate = balancing_certificate(bad)
+        assert certificate is not None
+        if expected is not None:
+            assert certificate == expected
+        for f in (pl_alpha(bad.n_elements), pl_beta(bad.n_elements)):
+            with pytest.raises(Unbalanced) as exc_info:
+                divisor(f, bad)
+            assert exc_info.value.certificate == certificate
 
 
 def test_divisor_input_validation():
