@@ -1,11 +1,13 @@
-"""Exact arithmetic kernel: integer lattices and sparse multivariate polynomials.
+"""Exact arithmetic: lattice indices, rational linear solves and sparse
+multivariate polynomials.
 
 Everything here is exact.  Rationals are ``fractions.Fraction``, integers are
-Python ints, and the lattice routines are elementary row/column reductions
-over Z (Hermite-style elimination; the Smith form is kept only as an
-independent reference that tests check lattice indices against).
-Dimensions in this library stay below ten, so the classical O(n^3)
-algorithms with exact pivoting are the right tool.
+Python ints, and the lattice index comes from elementary row reductions over
+Z (Hermite-style elimination; the Smith form is kept only as an independent
+reference that tests check lattice indices against).  Of the four routes
+only stable calls ``solve_linear`` and ``lattice_index``.  Dimensions in
+this library stay below ten, so the classical O(n^3) algorithms with exact
+pivoting are the right tool.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import NotFullRank
 
-IntVector = Tuple[int, ...]
 Exponent = Tuple[int, ...]
 
 
@@ -91,46 +92,6 @@ def lattice_index(generators: Iterable[Sequence[int]], ambient_dim: int) -> int:
     for i, row in enumerate(echelon):
         index *= row[i]
     return index
-
-
-def integer_kernel(rows: Iterable[Sequence[int]], n_cols: int) -> list[IntVector]:
-    """Basis of {x in Z^n_cols : A x = 0} for the integer matrix A.
-
-    Column reduction with a tracked unimodular transform: the returned basis
-    is automatically saturated (the kernel of an integer matrix is a direct
-    summand of Z^n), so every integral kernel vector is an integer
-    combination of the basis.
-    """
-    mat = _as_int_rows(rows)
-    for row in mat:
-        if len(row) != n_cols:
-            raise ValueError("row width mismatch")
-    # Work on columns of A; V records the column operations.
-    cols = [[mat[r][c] for r in range(len(mat))] for c in range(n_cols)]
-    trans = [[1 if i == j else 0 for i in range(n_cols)] for j in range(n_cols)]
-    active = list(range(n_cols))
-    for r in range(len(mat)):
-        while True:
-            candidates = [c for c in active if cols[c][r] != 0]
-            if not candidates:
-                pivot_col = None
-                break
-            c0 = min(candidates, key=lambda c: abs(cols[c][r]))
-            done = True
-            for c in candidates:
-                if c == c0:
-                    continue
-                q = cols[c][r] // cols[c0][r]
-                cols[c] = [a - q * b for a, b in zip(cols[c], cols[c0])]
-                trans[c] = [a - q * b for a, b in zip(trans[c], trans[c0])]
-                if cols[c][r] != 0:
-                    done = False
-            if done:
-                pivot_col = c0
-                break
-        if pivot_col is not None:
-            active.remove(pivot_col)
-    return [tuple(trans[c]) for c in sorted(active)]
 
 
 def solve_linear(

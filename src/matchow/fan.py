@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import LoopPresent, Unbalanced
+from .errors import LoopPresent, RangeError, Unbalanced
 from .matroid import Matroid
 
 Subset = FrozenSet[int]
@@ -140,6 +140,8 @@ def matroid_fan(m: Matroid) -> WeightedFan:
     if not m.is_loopless():
         raise LoopPresent("the flag fan of a matroid with loops is not defined here")
     r = m.rank() - 1
+    if r < 0:
+        raise RangeError("a rank-0 matroid has no matroid fan (its dimension would be -1)")
     flags = m.lattice().chains(1, r)
     return WeightedFan(m.n_elements, r, {f: Fraction(1) for f in flags})
 

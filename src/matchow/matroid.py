@@ -174,7 +174,7 @@ class Matroid:
     objects.  The basis-exchange axiom is verified on construction.
     """
 
-    __slots__ = ("n_elements", "bases", "_rank_cache", "_lattice")
+    __slots__ = ("n_elements", "bases", "_rank_cache", "_lattice", "_char_poly")
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
         if n_elements < 0:
@@ -200,6 +200,7 @@ class Matroid:
         self.bases = basis_set
         self._rank_cache: Dict[Flat, int] = {}
         self._lattice: FlatLattice | None = None
+        self._char_poly: Tuple[int, ...] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -311,8 +312,10 @@ class Matroid:
 
         Computed by the signed subset sum over all of 2^E; when the matroid
         is loopless the Moebius sum over flats is computed as well and the
-        two are asserted identical.
+        two are asserted identical.  The first call stores the result.
         """
+        if self._char_poly is not None:
+            return self._char_poly
         full_rank = self.rank()
         coeffs = [0] * (full_rank + 1)
         for size in range(self.n_elements + 1):
@@ -328,7 +331,8 @@ class Matroid:
                 raise AssertionError(
                     "subset-sum and Moebius characteristic polynomials disagree"
                 )
-        return tuple(coeffs)
+        self._char_poly = tuple(coeffs)
+        return self._char_poly
 
     def degree_rank(self, k: int) -> int:
         """r = rank - 1 for a loopless matroid with 0 <= k <= r: every degree route's guard."""

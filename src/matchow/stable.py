@@ -7,11 +7,15 @@ dimension, so for generic displacements the intersection is a finite set
 of points; each contributes the index of the sum of the three span
 lattices, and the total is the degree.
 
-Candidate points are enumerated over triples (complete flag, I, J) and
-found by solving the exact linear system that expresses membership in all
-three translated cones.  Every inequality must hold strictly (the point
-sits in three relative interiors); an exact tie means the displacement was
-non-generic, which raises DegenerateSystem so the caller can redraw.
+Candidate points are enumerated over triples (complete flag, I, J).  A
+point of the flag cone's span is constant on each block of the flag, so it
+is found by an exact linear solve with one unknown per block, the block of
+element 0 pinned to zero: each consecutive pair s < t of I gives the row
+v(block of s) - v(block of t) = a_s - a_t, and likewise for J with b.  The
+span lattices of the skeleton loci are spanned by indicator vectors.  Every
+inequality must hold strictly (the point sits in three relative
+interiors); an exact tie means the displacement was non-generic, which
+raises DegenerateSystem so the caller can redraw.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateSystem, NotFullRank
-from .exact import integer_kernel, lattice_index, solve_linear
+from .exact import lattice_index, solve_linear
 from .fan import FlagCone, e_image, flag_parts, full_coordinates, matroid_fan
 from .matroid import Matroid
 
@@ -52,7 +56,8 @@ def displacement_vectors(n_elements: int, seed: int) -> Tuple[Vector, Vector]:
     return draw(True), draw(False)
 
 
-def _check_monotone(n_elements: int, a: Vector, b: Vector) -> None:
+def _check_monotone(n_elements: int, a: Vector, b: Vector) -> Tuple[Vector, Vector]:
+    """Full coordinates of a and b, checked strictly decreasing and increasing."""
     fa, fb = full_coordinates(a), full_coordinates(b)
     if len(fa) != n_elements or len(fb) != n_elements:
         raise ValueError("displacement vectors have the wrong dimension")
@@ -60,6 +65,7 @@ def _check_monotone(n_elements: int, a: Vector, b: Vector) -> None:
         raise ValueError("first displacement must be strictly decreasing")
     if any(x >= y for x, y in zip(fb, fb[1:])):
         raise ValueError("second displacement must be strictly increasing")
+    return fa, fb
 
 
 @dataclass(frozen=True)
@@ -73,22 +79,14 @@ class IntersectionPoint:
     index: int
 
 
-def _equality_rows(n_elements: int, group: Subset) -> List[Tuple[int, ...]]:
-    """Quotient-coordinate rows x_s - x_t for consecutive members s < t.
+def _span_generators(n_elements: int, group: Subset) -> List[Tuple[int, ...]]:
+    """Quotient images of e_g for each g outside the group.
 
-    They force the group's coordinates equal.  The dot product of a row with
-    a displacement in quotient coordinates is that displacement's gap between
-    s and t, because element 0 is pinned to zero.
+    With e_group they span the integer vectors constant on the group, a
+    direct summand of Z^E that holds the all-ones vector, so the image is
+    saturated; e_group itself is minus their sum modulo the all-ones vector.
     """
-    ordered = sorted(group)
-    rows = []
-    for s, t in zip(ordered, ordered[1:]):
-        row = [0] * (n_elements - 1)
-        if s != 0:
-            row[s - 1] = 1
-        row[t - 1] = -1
-        rows.append(tuple(row))
-    return rows
+    return [e_image(n_elements, {g}) for g in range(n_elements) if g not in group]
 
 
 def intersect_triple(
@@ -105,28 +103,25 @@ def intersect_triple(
     the outcome is not an exact transversal point (tie or singular system).
     """
     n_el = len(a) + 1
-    _check_monotone(n_el, a, b)
+    fa, fb = _check_monotone(n_el, a, b)
     I = frozenset(smallest)
     J = frozenset(largest)
     parts = flag_parts(n_el, flag)
+    block = {e: i for i, part in enumerate(parts) for e in part}
 
-    # Two members of I inside one part would force two equal entries of a
-    # (likewise for J and b), and I meeting J twice would force an a-gap to
-    # equal a b-gap; strict monotonicity rules all of these out, so such
-    # triples are inconsistent without solving.
-    for part in parts:
-        if len(part & I) > 1 or len(part & J) > 1:
-            return None
-    if len(I & J) > 1:
-        return None
-
-    n = n_el - 1
-    rows: List[Tuple[int, ...]] = []
+    # Two members of one group in one block, or two shared by I and J, give
+    # an inconsistent row, because a and b are strictly monotone.
+    rows: List[List[int]] = []
     rhs: List[Fraction] = []
-    for group, offset in [(part, (0,) * n) for part in parts] + [(I, a), (J, b)]:
-        for row in _equality_rows(n_el, group):
+    for group, offsets in ((I, fa), (J, fb)):
+        ordered = sorted(group)
+        for s, t in zip(ordered, ordered[1:]):
+            row = [0] * len(parts)  # element 0's block is pinned to 0: no column
+            row[block[s]] += 1
+            row[block[t]] -= 1
+            del row[block[0]]
             rows.append(row)
-            rhs.append(sum(x * o for x, o in zip(row, offset)))
+            rhs.append(offsets[s] - offsets[t])
 
     status, solution = solve_linear(rows, rhs)
     if status == "inconsistent":
@@ -134,16 +129,16 @@ def intersect_triple(
     if status == "underdetermined":
         raise DegenerateSystem("membership system is singular; redraw displacements")
     assert solution is not None
-    full = full_coordinates(solution)
+    values = list(solution)
+    values.insert(block[0], Fraction(0))
+    full = [values[block[e]] for e in range(n_el)]
 
     # Relative-interior checks; an exact tie is a boundary hit.
-    part_values = [full[min(p)] for p in parts]
-    for hi, lo in zip(part_values, part_values[1:]):
+    for hi, lo in zip(values, values[1:]):
         if hi == lo:
             raise DegenerateSystem("intersection point on a flag wall")
         if hi < lo:
             return None
-    fa, fb = full_coordinates(a), full_coordinates(b)
     for group, offsets, sense in ((I, fa, 1), (J, fb, -1)):
         shifted = [x - o for x, o in zip(full, offsets)]
         level = shifted[min(group)]
@@ -157,13 +152,12 @@ def intersect_triple(
                 return None
 
     generators = [e_image(n_el, s) for s in flag]
-    generators += integer_kernel(_equality_rows(n_el, I), n)
-    generators += integer_kernel(_equality_rows(n_el, J), n)
+    generators += _span_generators(n_el, I) + _span_generators(n_el, J)
     try:
-        index = lattice_index(generators, n)
+        index = lattice_index(generators, n_el - 1)
     except NotFullRank as exc:
         raise DegenerateSystem(f"span lattices do not fill the ambient space: {exc}")
-    return IntersectionPoint(tuple(solution), flag, I, J, index)
+    return IntersectionPoint(tuple(full[1:]), flag, I, J, index)
 
 
 def stable_intersection_points(

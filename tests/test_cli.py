@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import matchow.cli as cli
+import matchow.fan as fan_mod
 from matchow.cli import main
 
 
@@ -174,6 +175,22 @@ def test_balancing_builtin_k4(capsys):
     assert out.rstrip().endswith("PASS")
 
 
+def test_balancing_walks_each_fan_once(capsys, monkeypatch):
+    # k4 has the matroid fan and three truncation windows
+    real = fan_mod.codim_one_stars
+    calls = []
+
+    def counting(fan):
+        calls.append(fan)
+        return real(fan)
+
+    monkeypatch.setattr(fan_mod, "codim_one_stars", counting)
+    code, out, _ = run(capsys, "balancing", "--builtin", "k4")
+    assert code == 0
+    assert out.rstrip().endswith("PASS")
+    assert len(calls) == 4
+
+
 def test_balancing_json(capsys):
     code, out, _ = run(capsys, "balancing", "--uniform", "2", "3", "--json")
     assert code == 0
@@ -312,6 +329,17 @@ def test_empty_ground_set_crosscheck_is_exit_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "rank-0" in err
+
+
+def test_empty_ground_set_balancing_is_exit_2(capsys, tmp_path):
+    graph = tmp_path / "empty.json"
+    graph.write_text(json.dumps({"edges": []}))
+    for source in (["--uniform", "0", "0"], ["--graph", str(graph)]):
+        code, out, err = run(capsys, "balancing", *source)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rank-0" in err
 
 
 def test_uniform_bad_rank_is_exit_2(capsys):

@@ -10,7 +10,6 @@ import pytest
 from matchow import MultiPoly, NotFullRank
 from matchow.exact import (
     hermite_row_reduce,
-    integer_kernel,
     lattice_index,
     smith_invariant_factors,
     solve_linear,
@@ -71,55 +70,6 @@ def test_hermite_rows_span_same_lattice():
         assert all(c.denominator == 1 for c in sol)
 
 
-# ---------------------------------------------------------------------------
-# integer_kernel
-# ---------------------------------------------------------------------------
-
-
-def _is_integer_combination(basis, vector) -> bool:
-    width = len(vector)
-    matrix = [[Fraction(b[i]) for b in basis] for i in range(width)]
-    status, sol = solve_linear(matrix, [Fraction(x) for x in vector])
-    return status == "unique" and all(c.denominator == 1 for c in sol)
-
-
-def test_integer_kernel_sum_zero_plane():
-    basis = integer_kernel([(1, 1, 1)], 3)
-    assert len(basis) == 2
-    for v in basis:
-        assert sum(v) == 0
-    # saturation: every small integral solution is an integer combination
-    for x in range(-3, 4):
-        for y in range(-3, 4):
-            v = (x, y, -x - y)
-            assert _is_integer_combination(basis, v)
-
-
-def test_integer_kernel_zero_matrix():
-    basis = integer_kernel([(0, 0, 0)], 3)
-    assert len(basis) == 3
-    assert lattice_index(basis, 3) == 1
-
-
-def test_integer_kernel_equality_rows():
-    # x_0 = x_1 in the 2-dimensional quotient of a 3-element ground set:
-    # pinned x_0 is zero, so the row reads x_1 = 0 and the kernel is the x_2 axis.
-    basis = integer_kernel([(1, 0)], 2)
-    assert len(basis) == 1
-    assert basis[0] in ((0, 1), (0, -1))
-
-
-def test_integer_kernel_annihilation_random():
-    rng = random.Random(3)
-    for _ in range(40):
-        m, n = rng.randint(1, 4), rng.randint(1, 5)
-        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
-        basis = integer_kernel(rows, n)
-        for v in basis:
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
-
-
 def test_smith_invariant_factors_divide_and_match_index():
     rng = random.Random(11)
     assert smith_invariant_factors([(2, 0), (0, 3)]) == [1, 6]
@@ -138,24 +88,6 @@ def test_smith_invariant_factors_divide_and_match_index():
         else:
             with pytest.raises(NotFullRank):
                 lattice_index(rows, n)
-
-
-def test_kernel_plus_row_space_rebuilds_finite_index():
-    rng = random.Random(5)
-    for _ in range(30):
-        m, n = rng.randint(1, 3), rng.randint(2, 4)
-        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
-        kernel = integer_kernel(rows, n)
-        rank = n - len(kernel)
-        if rank == 0:
-            continue
-        # kernel basis together with the row lattice spans full rank, and the
-        # index is divisible by the product of the invariant factors
-        index = lattice_index(list(kernel) + [list(r) for r in rows], n)
-        prod = 1
-        for d in smith_invariant_factors(rows):
-            prod *= d
-        assert index % prod == 0
 
 
 # ---------------------------------------------------------------------------

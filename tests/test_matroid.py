@@ -240,6 +240,28 @@ def test_char_poly_frozen():
     assert Matroid.uniform(2, 4).char_poly() == (3, -4, 1)
 
 
+def test_char_poly_is_computed_once(monkeypatch):
+    # the first call still cross-checks the subset sum against the Moebius sum
+    corrupted = Matroid.fano()
+    lat = corrupted.lattice()
+    lat.mobius[lat.top] += 1
+    with pytest.raises(AssertionError, match="disagree"):
+        corrupted.char_poly()
+
+    m = Matroid.fano()
+    first = m.char_poly()
+    queries = []
+    real_rank = Matroid.rank
+
+    def counting_rank(self, subset=None):
+        queries.append(subset)
+        return real_rank(self, subset)
+
+    monkeypatch.setattr(Matroid, "rank", counting_rank)
+    assert m.char_poly() == first
+    assert queries == []
+
+
 def test_char_poly_vanishes_at_one(suite_matroid):
     coeffs = suite_matroid.char_poly()
     assert sum(coeffs) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,9 @@ from matchow import (
     stable_intersection_points,
 )
 from matchow.chowlex import surviving_flags
-from matchow.exact import integer_kernel, lattice_index
-from matchow.stable import _check_monotone, _equality_rows, displacement_vectors
+from matchow.exact import hermite_row_reduce, solve_linear
+from matchow.fan import flag_parts, full_coordinates, matroid_fan
+from matchow.stable import _check_monotone, _span_generators, displacement_vectors
 
 fs = frozenset
 
@@ -53,28 +55,31 @@ def test_check_monotone_rejects_bad_vectors():
 
 
 # ---------------------------------------------------------------------------
-# equality rows and the span lattices they cut out
+# span lattices of the skeleton loci
 # ---------------------------------------------------------------------------
 
 
-def test_equality_rows_and_span_lattice():
-    # x_0 = x_1 with x_0 pinned: the row reads -x_1 = 0, the span is the x_2 axis
-    rows = _equality_rows(3, fs({0, 1}))
-    assert rows == [(-1, 0)]
-    basis = integer_kernel(rows, 2)
-    assert len(basis) == 1
-    assert basis[0] in ((0, 1), (0, -1))
-    # all coordinates equal: only the origin survives in the quotient
-    assert integer_kernel(_equality_rows(4, fs({0, 1, 2, 3})), 3) == []
-    # a single element imposes nothing
-    assert _equality_rows(4, fs({2})) == []
-    assert lattice_index(integer_kernel([], 3), 3) == 1
-    # a row's dot product with a displacement is that displacement's gap
-    a = _int_vec(-1, -2, -3)
-    full = (0,) + a
-    for s, t in ((0, 2), (1, 3)):
-        (row,) = _equality_rows(4, fs({s, t}))
-        assert sum(x * o for x, o in zip(row, a)) == full[s] - full[t]
+def _constant_on(group, vector) -> bool:
+    return len({full_coordinates(vector)[g] for g in group}) == 1
+
+
+def test_span_generators_are_saturated():
+    for n in range(1, 6):
+        small = list(itertools.product((-1, 0, 1), repeat=n - 1))
+        for size in range(1, n + 1):
+            for group in map(fs, itertools.combinations(range(n), size)):
+                generators = _span_generators(n, group)
+                assert all(_constant_on(group, g) for g in generators)
+                # the echelon rows are a basis of the same lattice
+                basis = hermite_row_reduce(generators, n - 1)
+                assert len(basis) == n - size
+                for v in small:
+                    if not _constant_on(group, v):
+                        continue
+                    matrix = [[Fraction(row[i]) for row in basis] for i in range(n - 1)]
+                    status, coeffs = solve_linear(matrix, [Fraction(x) for x in v])
+                    assert status == "unique"
+                    assert all(c.denominator == 1 for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +136,70 @@ def test_intersect_triple_wall_hits_raise():
         intersect_triple((fs({0}), fs({0, 3, 4})), (1, 3), (3, 5), A6, B6)
     with pytest.raises(DegenerateSystem, match="skeleton wall"):
         intersect_triple((fs({4}), fs({0, 3, 4})), (0,), (2, 3, 4), A6, B6)
+
+
+def _element_system_outcome(flag, I, J, a, b):
+    """Reference: the membership system with one unknown per element 1..n-1.
+
+    One row per consecutive pair of each flag block (right-hand side 0), of
+    I (the gap in a) and of J (the gap in b).  Returns "inconsistent",
+    "underdetermined", "wall" at the first tie, "outside" at the first
+    violated relative-interior inequality, or the point.
+    """
+    n_el = len(a) + 1
+    fa, fb = full_coordinates(a), full_coordinates(b)
+    parts = flag_parts(n_el, flag)
+    rows, rhs = [], []
+    for group, offsets in [(p, (0,) * n_el) for p in parts] + [(I, fa), (J, fb)]:
+        ordered = sorted(group)
+        for s, t in zip(ordered, ordered[1:]):
+            row = [0] * n_el
+            row[s], row[t] = 1, -1
+            rows.append(row[1:])
+            rhs.append(offsets[s] - offsets[t])
+    status, solution = solve_linear(rows, rhs)
+    if status != "unique":
+        return status
+    x = full_coordinates(solution)
+    margins = [x[min(p)] - x[min(q)] for p, q in zip(parts, parts[1:])]
+    for group, offsets, sense in ((I, fa, 1), (J, fb, -1)):
+        level = x[min(group)] - offsets[min(group)]
+        margins += [sense * (x[e] - offsets[e] - level) for e in range(n_el) if e not in group]
+    first = next((g for g in margins if g <= 0), None)
+    if first is None:
+        return solution
+    return "wall" if first == 0 else "outside"
+
+
+@pytest.mark.parametrize(
+    "m, k",
+    [(Matroid.fano(), 1), (Matroid.boolean(4), 1), (Matroid.boolean(4), 2)],
+    ids=["fano-1", "boolean(4)-1", "boolean(4)-2"],
+)
+def test_intersect_triple_matches_element_system(m, k):
+    n_el = m.n_elements
+    r = m.rank() - 1
+    a, b = displacement_vectors(n_el, 0)
+    outcomes = set()
+    hits = 0
+    for flag in matroid_fan(m).cones():
+        for I in itertools.combinations(range(n_el), r - k + 1):
+            for J in itertools.combinations(range(n_el), k + 1):
+                expected = _element_system_outcome(flag, fs(I), fs(J), a, b)
+                if expected in ("underdetermined", "wall"):
+                    with pytest.raises(DegenerateSystem):
+                        intersect_triple(flag, I, J, a, b)
+                    outcomes.add(expected)
+                    continue
+                hit = intersect_triple(flag, I, J, a, b)
+                if expected in ("inconsistent", "outside"):
+                    assert hit is None
+                    outcomes.add(expected)
+                else:
+                    assert hit is not None and hit.point == expected
+                    hits += 1
+    assert {"inconsistent", "outside"} <= outcomes
+    assert hits == m.mu(k)
 
 
 # ---------------------------------------------------------------------------
