@@ -19,10 +19,6 @@ Flat = FrozenSet[int]
 FlagMonomial = Tuple[Flat, ...]
 
 
-def _proper_flats(m: Matroid) -> list[Flat]:
-    return list(m.lattice().proper_nonempty_flats())
-
-
 def lex_expand_alpha(m: Matroid, mono: FlagMonomial) -> List[FlagMonomial]:
     """Append one flat: candidates contain top(mono) plus its least absentee."""
     top = mono[-1] if mono else frozenset()
@@ -30,7 +26,7 @@ def lex_expand_alpha(m: Matroid, mono: FlagMonomial) -> List[FlagMonomial]:
     needed = top | {e}
     return [
         mono + (flat,)
-        for flat in _proper_flats(m)
+        for flat in m.lattice().proper_nonempty_flats()
         if needed <= flat
     ]
 
@@ -42,7 +38,7 @@ def lex_expand_beta(m: Matroid, mono: FlagMonomial) -> List[FlagMonomial]:
     allowed = bottom - {e}
     return [
         (flat,) + mono
-        for flat in _proper_flats(m)
+        for flat in m.lattice().proper_nonempty_flats()
         if flat <= allowed
     ]
 

@@ -5,16 +5,28 @@ order.  Everything downstream (flags, fans, Chow classes) keys off this
 fixed order, so minors relabel their ground sets back to an initial segment,
 preserving relative order.
 
+Inside this module a subset of the ground set is an int mask with bit e set
+for element e: bases, rank queries, closures and flats are mask operations.
+Frozensets appear only at the edge: `Matroid.bases`, `closure`, `loops`,
+`coloops` and the views of `FlatLattice`; `rank` and `closure` accept any
+iterable of elements.  Every construction, the named constructors, minors,
+duals and truncations included, runs the full basis-exchange check.
+
 The characteristic polynomial is always computed twice, by the subset
 inclusion-exclusion sum and by the Moebius sum over the lattice of flats,
 and the two are asserted equal; callers therefore get a value that has
-already survived one independent cross-check.
+already survived one independent cross-check.  The subset sum takes each
+subset's rank from a greedy independent subset grown along a depth-first
+walk of 2^E, not from the max-overlap rank the lattice is built with, so the
+two sums share no rank code.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, Sequence, Tuple
+from functools import reduce
+from operator import and_, or_
+from typing import Dict, FrozenSet, Iterable, Iterator, Sequence, Set, Tuple
 
 from .errors import (
     EmptyBases,
@@ -26,6 +38,35 @@ from .errors import (
 
 Flat = FrozenSet[int]
 Chain = Tuple[Flat, ...]
+
+
+def _mask(elements: Iterable[int]) -> int:
+    mask = 0
+    for e in elements:
+        mask |= 1 << e
+    return mask
+
+
+def _members(mask: int) -> Tuple[int, ...]:
+    """The elements of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _one_smaller(masks: Iterable[int]) -> Set[int]:
+    """Every mask obtained from one of the masks by clearing one set bit."""
+    out = set()
+    for mask in masks:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out.add(mask ^ low)
+            rest ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -77,26 +118,48 @@ def _poly_divide_by_q_minus_1(coeffs: Sequence[int]) -> Tuple[int, ...]:
 class FlatLattice:
     """Flats of a matroid ordered by inclusion, graded by rank.
 
-    Covers are exactly the inclusions that raise rank by one.  Moebius
+    Built on masks.  The covers of a flat F are the closures of F + e for e
+    outside F; each cover holds every e that generates it, so one closure
+    per cover finds them all.  The bases meeting F + e in rank(F) + 1
+    elements are the bases meeting F in rank(F) elements that hold e, so
+    each closure scans only those (see `Matroid._closure_mask`).  Moebius
     values are accumulated bottom-up from mu(bottom) = 1 and
-    sum_{G <= F} mu(G) = 0 for F above the bottom.
+    sum_{G <= F} mu(G) = 0 for F above the bottom.  The public views are
+    frozensets, and each level is sorted by its flats' sorted element tuples,
+    the order that flags, cones and the lex expansion follow.
     """
 
     def __init__(self, matroid: "Matroid"):
         self.matroid = matroid
-        by_rank: list[list[Flat]] = [[matroid.closure(frozenset())]]
-        seen = {by_rank[0][0]}
-        full = frozenset(range(matroid.n_elements))
-        for rk in range(1, matroid.rank() + 1):
+        full = (1 << matroid.n_elements) - 1
+        levels = [[matroid._closure_mask(0)]]
+        covers: Dict[int, list[int]] = {}
+        for _ in range(matroid.rank()):
             fresh = set()
-            for flat in by_rank[rk - 1]:
-                for e in full - flat:
-                    fresh.add(matroid.closure(flat | {e}))
-            level = sorted(fresh - seen, key=lambda f: tuple(sorted(f)))
-            seen.update(fresh)
-            by_rank.append(level)
+            for f in levels[-1]:
+                above = covers[f] = []
+                tight = matroid._tight_bases(f)
+                rest = full & ~f
+                while rest:
+                    e = rest & -rest
+                    reach = 0
+                    for b in tight:
+                        if b & e:
+                            reach |= b
+                    g = (f | e | ~reach) & full
+                    rest &= ~g
+                    above.append(g)
+                fresh.update(above)
+            levels.append(sorted(fresh, key=_members))
+        mobius = {levels[0][0]: 1}
+        for level in levels[1:]:
+            for f in level:
+                mobius[f] = -sum(mu for g, mu in mobius.items() if not g & ~f)
+
+        view = {f: frozenset(_members(f)) for f in mobius}
+        position = {f: i for level in levels for i, f in enumerate(level)}
         self.flats_by_rank: Tuple[Tuple[Flat, ...], ...] = tuple(
-            tuple(level) for level in by_rank
+            tuple(view[f] for f in level) for level in levels
         )
         self.bottom: Flat = self.flats_by_rank[0][0]
         self.top: Flat = self.flats_by_rank[-1][0]
@@ -104,30 +167,21 @@ class FlatLattice:
             f: rk for rk, level in enumerate(self.flats_by_rank) for f in level
         }
         self._covers_above: Dict[Flat, Tuple[Flat, ...]] = {
-            f: tuple(
-                g
-                for g in self.flats_by_rank[rk + 1]
-                if f < g
-            )
-            for rk, level in enumerate(self.flats_by_rank[:-1])
-            for f in level
+            view[f]: tuple(view[g] for g in sorted(above, key=position.__getitem__))
+            for f, above in covers.items()
         }
-        self.mobius: Dict[Flat, int] = {}
-        for level in self.flats_by_rank:
-            for f in level:
-                below = sum(
-                    self.mobius[g] for g in self.mobius if g < f
-                )
-                self.mobius[f] = 1 if f == self.bottom else -below
+        self.mobius: Dict[Flat, int] = {view[f]: mu for f, mu in mobius.items()}
+        self._proper: Tuple[Flat, ...] = tuple(
+            f for level in self.flats_by_rank[1:-1] for f in level
+        )
 
     def flats(self) -> Iterator[Flat]:
         for level in self.flats_by_rank:
             yield from level
 
-    def proper_nonempty_flats(self) -> Iterator[Flat]:
-        """Flats other than the bottom and the full ground set."""
-        for level in self.flats_by_rank[1:-1]:
-            yield from level
+    def proper_nonempty_flats(self) -> Tuple[Flat, ...]:
+        """Flats other than the bottom and the full ground set, by rank."""
+        return self._proper
 
     def covers_above(self, flat: Flat) -> Tuple[Flat, ...]:
         return self._covers_above.get(flat, ())
@@ -168,37 +222,40 @@ def descent_set(word: Sequence[int]) -> FrozenSet[int]:
 
 
 class Matroid:
-    """A matroid on {0..n-1}, stored as its set of bases.
+    """A matroid on {0..n-1}, stored as its bases: a sorted tuple of int masks.
 
     Instances are immutable after construction; minors and duals return new
-    objects.  The basis-exchange axiom is verified on construction.
+    objects.  Every construction verifies the basis-exchange axiom.
+    `bases` is the frozenset view of the masks.
     """
 
-    __slots__ = ("n_elements", "bases", "_rank_cache", "_lattice", "_char_poly")
+    __slots__ = ("n_elements", "_masks", "_rank_cache", "_lattice", "_char_poly")
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
         if n_elements < 0:
             raise ValueError(f"n_elements={n_elements} is negative")
-        basis_list = [tuple(b) for b in bases]
-        for b in basis_list:
+        masks = []
+        for b in bases:
+            b = tuple(b)
             for e in b:
                 # bool is an int subclass, but True is no name for element 1
                 if isinstance(e, bool) or not isinstance(e, int):
                     raise ValueError(f"element {e!r} is not an integer")
                 if not 0 <= e < n_elements:
                     raise ValueError(f"element {e!r} outside 0..{n_elements - 1}")
-            if len(set(b)) != len(b):
+            mask = _mask(b)
+            if mask.bit_count() != len(b):
                 raise ValueError(f"basis {list(b)} lists an element twice")
-        basis_set = frozenset(frozenset(b) for b in basis_list)
-        if not basis_set:
+            masks.append(mask)
+        if not masks:
             raise EmptyBases("a matroid needs at least one basis")
-        sizes = {len(b) for b in basis_set}
+        sizes = {mask.bit_count() for mask in masks}
         if len(sizes) != 1:
             raise ExchangeViolation(f"bases of unequal size: {sorted(sizes)}")
-        _check_exchange(basis_set)
+        self._masks: Tuple[int, ...] = tuple(sorted(set(masks)))
+        _check_exchange(self._masks)
         self.n_elements = n_elements
-        self.bases = basis_set
-        self._rank_cache: Dict[Flat, int] = {}
+        self._rank_cache: Dict[int, int] = {}
         self._lattice: FlatLattice | None = None
         self._char_poly: Tuple[int, ...] | None = None
 
@@ -274,31 +331,49 @@ class Matroid:
     def elements(self) -> range:
         return range(self.n_elements)
 
+    @property
+    def bases(self) -> FrozenSet[Flat]:
+        return frozenset(frozenset(_members(b)) for b in self._masks)
+
     def rank(self, subset: Iterable[int] | None = None) -> int:
         if subset is None:
-            return len(next(iter(self.bases)))
-        key = frozenset(subset)
+            return self._masks[0].bit_count()
+        key = _mask(subset)
         cached = self._rank_cache.get(key)
         if cached is None:
-            cached = max(len(key & b) for b in self.bases)
+            cached = max((key & b).bit_count() for b in self._masks)
             self._rank_cache[key] = cached
         return cached
 
     def closure(self, subset: Iterable[int]) -> Flat:
-        subset = frozenset(subset)
-        rk = self.rank(subset)
-        return frozenset(
-            e for e in self.elements if self.rank(subset | {e}) == rk
-        )
+        return frozenset(_members(self._closure_mask(_mask(subset))))
+
+    def _tight_bases(self, subset: int) -> list[int]:
+        """The bases meeting the subset in rank(subset) elements."""
+        best, tight = -1, []
+        for b in self._masks:
+            overlap = (subset & b).bit_count()
+            if overlap > best:
+                best, tight = overlap, [b]
+            elif overlap == best:
+                tight.append(b)
+        return tight
+
+    def _closure_mask(self, subset: int) -> int:
+        """An element e outside S is in the closure of S unless some basis
+        meeting S in rank(S) elements holds e: that basis meets S + e in one
+        more."""
+        reach = reduce(or_, self._tight_bases(subset))
+        return (subset | ~reach) & ((1 << self.n_elements) - 1)
 
     def loops(self) -> Flat:
-        return self.closure(frozenset())
+        return self.closure(())
 
     def is_loopless(self) -> bool:
-        return not self.loops()
+        return not self._closure_mask(0)
 
     def coloops(self) -> Flat:
-        return frozenset.intersection(*self.bases)
+        return frozenset(_members(reduce(and_, self._masks)))
 
     def lattice(self) -> FlatLattice:
         if self._lattice is None:
@@ -313,15 +388,31 @@ class Matroid:
         Computed by the signed subset sum over all of 2^E; when the matroid
         is loopless the Moebius sum over flats is computed as well and the
         two are asserted identical.  The first call stores the result.
+
+        The subset sum walks 2^E depth-first, deciding element 0, 1, ... in
+        turn, and carries a greedy maximal independent subset of the chosen
+        elements (independent: inside some basis); its size is the subset's
+        rank because the bases passed the exchange check.
         """
         if self._char_poly is not None:
             return self._char_poly
         full_rank = self.rank()
         coeffs = [0] * (full_rank + 1)
-        for size in range(self.n_elements + 1):
-            sign = -1 if size % 2 else 1
-            for subset in itertools.combinations(self.elements, size):
-                coeffs[full_rank - self.rank(subset)] += sign
+        independent = set(self._masks)
+        layer = independent
+        while layer:
+            layer = _one_smaller(layer)
+            independent |= layer
+
+        def walk(e: int, greedy: int, sign: int) -> None:
+            if e == self.n_elements:
+                coeffs[full_rank - greedy.bit_count()] += sign
+                return
+            walk(e + 1, greedy, sign)
+            grown = greedy | 1 << e
+            walk(e + 1, grown if grown in independent else greedy, -sign)
+
+        walk(0, 0, 1)
         if self.is_loopless():
             lat = self.lattice()
             via_mobius = [0] * (full_rank + 1)
@@ -368,40 +459,39 @@ class Matroid:
 
     # -- minors and relatives --------------------------------------------------
 
-    def _relabel_without(self, e: int, bases: Iterable[Flat]) -> "Matroid":
-        order = [x for x in self.elements if x != e]
-        new_label = {x: i for i, x in enumerate(order)}
+    def _relabel_without(self, e: int, masks: Iterable[int]) -> "Matroid":
+        """The matroid on n - 1 elements whose bases are the given masks, none
+        holding e, with every element above e moved down by one."""
+        below = (1 << e) - 1
         return Matroid(
             self.n_elements - 1,
-            [[new_label[x] for x in b] for b in bases],
+            [_members((b & below) | (b >> 1 & ~below)) for b in masks],
         )
 
     def delete(self, e: int) -> "Matroid":
         """Deletion; a coloop is dropped from every basis instead."""
+        bit = 1 << e
         if e in self.coloops():
-            kept = [b - {e} for b in self.bases]
+            kept = [b ^ bit for b in self._masks]
         else:
-            kept = [b for b in self.bases if e not in b]
+            kept = [b for b in self._masks if not b & bit]
         return self._relabel_without(e, kept)
 
     def contract(self, e: int) -> "Matroid":
         if e in self.loops():
             raise LoopContract(f"element {e} is a loop")
-        return self._relabel_without(e, [b - {e} for b in self.bases if e in b])
+        bit = 1 << e
+        return self._relabel_without(e, [b ^ bit for b in self._masks if b & bit])
 
     def truncate(self) -> "Matroid":
         """Drop the rank by one: bases become the independent sets one smaller."""
-        rk = self.rank()
-        if rk == 0:
+        if self.rank() == 0:
             raise ValueError("cannot truncate a rank-0 matroid")
-        return Matroid(
-            self.n_elements,
-            {frozenset(c) for b in self.bases for c in itertools.combinations(sorted(b), rk - 1)},
-        )
+        return Matroid(self.n_elements, map(_members, _one_smaller(self._masks)))
 
     def dual(self) -> "Matroid":
-        full = frozenset(self.elements)
-        return Matroid(self.n_elements, [full - b for b in self.bases])
+        full = (1 << self.n_elements) - 1
+        return Matroid(self.n_elements, [_members(full ^ b) for b in self._masks])
 
     # -- chain combinatorics ----------------------------------------------------
 
@@ -426,25 +516,44 @@ class Matroid:
     def __eq__(self, other):
         if not isinstance(other, Matroid):
             return NotImplemented
-        return self.n_elements == other.n_elements and self.bases == other.bases
+        return self.n_elements == other.n_elements and self._masks == other._masks
 
     def __hash__(self):
-        return hash((self.n_elements, self.bases))
+        return hash((self.n_elements, self._masks))
 
     def __repr__(self):
-        return f"Matroid(n={self.n_elements}, rank={self.rank()}, bases={len(self.bases)})"
+        return f"Matroid(n={self.n_elements}, rank={self.rank()}, bases={len(self._masks)})"
 
 
-def _check_exchange(bases: FrozenSet[Flat]) -> None:
-    for b1 in bases:
-        for b2 in bases:
-            if b1 == b2:
-                continue
-            for x in b1 - b2:
-                trimmed = b1 - {x}
-                if not any(trimmed | {y} in bases for y in b2 - b1):
+def _check_exchange(masks: Tuple[int, ...]) -> None:
+    """For every ordered pair of bases B1, B2 and x in B1 - B2, some y in
+    B2 - B1 makes B1 - x + y a basis.
+
+    For each B1 and x in B1 the ys that make B1 - x + y a basis are found
+    once; then every B2 must hold x or one of those ys.  Bases, then x
+    ascending, then B2 are scanned in the order of the given tuple, so a
+    sorted tuple names a witness that depends only on the set of bases.
+    """
+    mask_set = set(masks)
+    ground = reduce(or_, masks)
+    for b1 in masks:
+        xs = b1
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            trimmed = b1 ^ x
+            hit = x
+            ys = ground & ~b1
+            while ys:
+                y = ys & -ys
+                ys ^= y
+                if trimmed | y in mask_set:
+                    hit |= y
+            for b2 in masks:
+                if not b2 & hit:
                     raise ExchangeViolation(
-                        f"no exchange for {x} out of {sorted(b1)} toward {sorted(b2)}"
+                        f"no exchange for {x.bit_length() - 1} out of "
+                        f"{list(_members(b1))} toward {list(_members(b2))}"
                     )
 
 

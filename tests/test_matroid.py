@@ -18,9 +18,10 @@ from matchow import (
     poly_q_str,
     triangle_with_pendant,
 )
+import matchow.matroid as matroid_module
 from matchow.matroid import builtin, descent_set, jordan_holder_word
 
-from conftest import SUITE
+from conftest import SUITE, SUITE_IDS, SUITE_MATROIDS
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +43,77 @@ def test_exchange_axiom_rejected():
     # {0,1} and {2,3} admit no single-element exchange
     with pytest.raises(ExchangeViolation):
         Matroid(4, [{0, 1}, {2, 3}])
+
+
+def test_exchange_witness_ignores_basis_order():
+    # the violation named depends on the set of bases, not on the input order
+    bases = [[0, 3], [0, 1], [2, 6], [4, 6], [1, 4]]
+    rng = random.Random(5)
+    messages = set()
+    for _ in range(10):
+        shuffled = [rng.sample(b, len(b)) for b in rng.sample(bases, len(bases))]
+        with pytest.raises(ExchangeViolation, match="no exchange") as err:
+            Matroid(7, shuffled)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def _exchange_holds(bases) -> bool:
+    family = {frozenset(b) for b in bases}
+    return all(
+        any((b1 - {x}) | {y} in family for y in b2 - b1)
+        for b1 in family
+        for b2 in family
+        for x in b1 - b2
+    )
+
+
+def test_exchange_check_matches_frozenset_reference():
+    # random equal-size families on up to 6 elements, matroids and not
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(400):
+        n, r = rng.randint(2, 6), rng.randint(1, 3)
+        every = list(itertools.combinations(range(n), min(r, n)))
+        bases = rng.sample(every, rng.randint(1, len(every)))
+        try:
+            Matroid(n, bases)
+            accepted = True
+        except ExchangeViolation:
+            accepted = False
+        assert accepted == _exchange_holds(bases), bases
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
+def test_every_construction_checks_exchange_once(monkeypatch):
+    # a shortcut that skips the check for trusted constructors must show here
+    k4, b3 = complete_graph_k4(), Matroid.boolean(3)
+    constructions = {
+        "Matroid": lambda: Matroid(3, [[0, 1], [0, 2], [1, 2]]),
+        "uniform": lambda: Matroid.uniform(2, 4),
+        "boolean": lambda: Matroid.boolean(3),
+        "from_graph": lambda: Matroid.from_graph([(0, 1), (1, 2)]),
+        "fano": Matroid.fano,
+        "builtin": lambda: builtin("fig1"),
+        "delete": lambda: k4.delete(0),
+        "delete a coloop": lambda: b3.delete(1),
+        "contract": lambda: k4.contract(2),
+        "truncate": k4.truncate,
+        "dual": k4.dual,
+    }
+    calls = []
+    real_check = matroid_module._check_exchange
+
+    def counting_check(masks):
+        calls.append(masks)
+        real_check(masks)
+
+    monkeypatch.setattr(matroid_module, "_check_exchange", counting_check)
+    for name, construct in constructions.items():
+        before = len(calls)
+        construct()
+        assert len(calls) == before + 1, name
 
 
 def test_elements_out_of_range_rejected():
@@ -153,6 +225,28 @@ def test_loops_and_coloops():
     assert fig.loops() == frozenset()
 
 
+def _rank_brute(m: Matroid, subset: frozenset) -> int:
+    return max(len(subset & b) for b in m.bases)
+
+
+def _subsets(m: Matroid):
+    for size in range(m.n_elements + 1):
+        for s in itertools.combinations(m.elements, size):
+            yield frozenset(s)
+
+
+def test_rank_and_closure_match_brute_force(suite_matroid):
+    m = suite_matroid
+    relatives = [m, m.dual(), m.delete(0), m.contract(0), m.truncate()]
+    for rel in relatives:
+        for s in _subsets(rel):
+            rk = _rank_brute(rel, s)
+            assert rel.rank(s) == rk
+            assert rel.closure(list(s)) == frozenset(
+                e for e in rel.elements if _rank_brute(rel, s | {e}) == rk
+            )
+
+
 # ---------------------------------------------------------------------------
 # lattice of flats against a brute-force closure oracle
 # ---------------------------------------------------------------------------
@@ -192,6 +286,19 @@ def test_covers_raise_rank_by_one(suite_matroid):
         for g in lat.covers_above(f):
             assert f < g
             assert lat.flat_rank[g] == lat.flat_rank[f] + 1
+
+
+def test_lattice_views_keep_level_order(suite_matroid):
+    # flags, cones and the lex expansion follow the order of each level
+    lat = suite_matroid.lattice()
+    for level in lat.flats_by_rank:
+        assert list(level) == sorted(level, key=lambda f: tuple(sorted(f)))
+    for rk, level in enumerate(lat.flats_by_rank[:-1]):
+        for f in level:
+            assert lat.covers_above(f) == tuple(g for g in lat.flats_by_rank[rk + 1] if f < g)
+    proper = lat.proper_nonempty_flats()
+    assert proper is lat.proper_nonempty_flats()
+    assert proper == tuple(f for level in lat.flats_by_rank[1:-1] for f in level)
 
 
 def test_mobius_frozen_values():
@@ -265,6 +372,24 @@ def test_char_poly_is_computed_once(monkeypatch):
 def test_char_poly_vanishes_at_one(suite_matroid):
     coeffs = suite_matroid.char_poly()
     assert sum(coeffs) == 0
+
+
+@pytest.mark.parametrize(
+    "m",
+    SUITE_MATROIDS
+    + [Matroid.from_graph([(0, 0), (0, 1), (1, 2), (2, 0)]), Matroid(4, [[1], [2]])],
+    ids=SUITE_IDS + ["looped triangle", "two loops"],
+)
+def test_subset_sum_matches_brute_force(m):
+    # on a matroid with loops the Moebius sum is skipped, so this is its only check
+    r = m.rank()
+    expected = [0] * (r + 1)
+    for s in _subsets(m):
+        expected[r - _rank_brute(m, s)] += (-1) ** len(s)
+    fresh = Matroid(m.n_elements, m.bases)
+    assert fresh.char_poly() == tuple(expected)
+    # the walk takes ranks from its own greedy subset, not from rank queries
+    assert not fresh._rank_cache
 
 
 def test_reduced_char_poly_and_rendering(fig1):
