@@ -6,7 +6,8 @@ can be read off as an intersection number on the braid fan, and this
 package computes it by four separate routes that share no geometry code:
 
   deg_lex       lexicographic expansion of flag monomials in the Chow ring
-  deg_pp        chamber sums of piecewise polynomials over exact points
+  deg_pp        chamber sums of piecewise polynomials, as a dynamic program
+                over prefix sets, exact modulo two primes
   deg_stable    stable intersection with displaced skeleton fans
   deg_tropical  iterated tropical divisors of piecewise-linear functions
 

@@ -40,7 +40,11 @@ class NotFullRank(MatchowError):
 
 
 class DegeneratePoint(MatchowError):
-    """An evaluation point hit a vanishing chamber denominator."""
+    """An evaluation point hit a vanishing chamber denominator.
+
+    `piecewise.chamber_denominator` raises it.  `deg_pp` cannot: its points
+    have coordinates distinct modulo its primes, so no denominator vanishes.
+    """
 
 
 class DegenerateSystem(MatchowError):

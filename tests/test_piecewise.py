@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+
+import matchow.piecewise as piecewise
 
 from matchow import (
     DegeneratePoint,
@@ -18,7 +21,10 @@ from matchow import (
     rep_alpha,
     rep_beta,
 )
+from matchow.cli import main
 from matchow.piecewise import chamber_denominator, generic_point, greedy_basis
+
+from conftest import SUITE_MATROIDS
 
 
 def _difference(n, i, j):
@@ -110,3 +116,94 @@ def test_deg_pp_guards():
     looped = Matroid.from_graph([(0, 0), (0, 1)])
     with pytest.raises(LoopPresent):
         deg_pp(looped, 0)
+
+
+# ---------------------------------------------------------------------------
+# the prefix-set dynamic program behind deg_pp
+# ---------------------------------------------------------------------------
+
+
+def _fraction_chamber_sums(m, seed):
+    """The literal n! chamber sum in Fraction, one value per k."""
+    n = m.n_elements
+    r = m.rank() - 1
+    pt = generic_point(n, seed)
+    totals = [Fraction(0)] * (r + 1)
+    for c in chambers(n):
+        outside = Fraction(1)
+        for i in set(range(n)) - greedy_basis(m, c):
+            outside *= pt[0] - pt[i]
+        base = outside / chamber_denominator(c, pt)
+        for k in range(r + 1):
+            totals[k] += base * (pt[0] - pt[c[-1]]) ** (r - k) * (pt[c[0]] - pt[0]) ** k
+    return totals
+
+
+def test_dp_matches_fraction_chamber_sum(suite_matroid):
+    sums = _fraction_chamber_sums(suite_matroid, seed=11)
+    assert [deg_pp(suite_matroid, k) for k in range(len(sums))] == sums
+
+
+def test_dp_matches_fraction_chamber_sum_off_suite(fig1):
+    for m in (fig1, Matroid.uniform(2, 5)):
+        sums = _fraction_chamber_sums(m, seed=11)
+        assert [deg_pp(m, k) for k in range(len(sums))] == sums
+
+
+def test_rank_table_matches_matroid_rank():
+    # a triangle plus a loop at vertex 0
+    cases = [Matroid.from_graph([(0, 1), (1, 2), (0, 2), (0, 0)])]
+    for m in SUITE_MATROIDS:
+        cases += [m, m.dual(), m.delete(0), m.contract(0)]
+    for m in cases:
+        table = piecewise._rank_table(m)
+        assert len(table) == 1 << m.n_elements
+        for mask in range(len(table)):
+            members = [e for e in m.elements if mask >> e & 1]
+            assert table[mask] == m.rank(members), (m, members)
+
+
+def test_rank_steps_mark_the_elements_outside_the_greedy_basis():
+    for m in SUITE_MATROIDS:
+        n = m.n_elements
+        if n > 6:
+            continue
+        table = piecewise._rank_table(m)
+        for c in chambers(n):
+            prefix, skipped = 0, set()
+            for e in c:
+                if table[prefix | 1 << e] == table[prefix]:
+                    skipped.add(e)
+                prefix |= 1 << e
+            assert skipped == set(range(n)) - greedy_basis(m, c), c
+
+
+def test_deg_pp_reaches_k5_and_u49():
+    k5 = Matroid.from_graph(list(itertools.combinations(range(5), 2)))
+    for m in (k5, Matroid.uniform(4, 9)):
+        for k in range(m.rank()):
+            assert deg_pp(m, k) == m.mu(k)
+
+
+def test_deg_pp_fano_seed_invariance():
+    fano = Matroid.fano()
+    for k in range(fano.rank()):
+        assert {deg_pp(fano, k, seed=s) for s in range(5)} == {fano.mu(k)}
+
+
+def test_disagreeing_residues_are_a_cross_assertion(monkeypatch, capsys):
+    exact = piecewise._chamber_sum_mod
+
+    def skewed(rank, r, k, point, p):
+        value = exact(rank, r, k, point, p)
+        return (value + 1) % p if p == piecewise._PRIMES[1] else value
+
+    monkeypatch.setattr(piecewise, "_chamber_sum_mod", skewed)
+    with pytest.raises(AssertionError, match="not constant"):
+        deg_pp(complete_graph_k4(), 1)
+    code = main(["deg", "--builtin", "k4", "--k", "1", "--method", "pp"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal cross-assertion failed")
