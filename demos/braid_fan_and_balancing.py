@@ -7,8 +7,6 @@ when around every codimension-one face the weighted extra rays sum into
 the span of that face.
 """
 
-from fractions import Fraction
-
 from matchow import (
     Matroid,
     braid_cone_of,
@@ -49,7 +47,7 @@ print(f"balanced: {ok}")
 print()
 
 print("== a corrupted weight fails with a certificate ==")
-bad = fan.reweighted((frozenset({0}),), Fraction(2))
+bad = fan.reweighted((frozenset({0}),), 2)
 ok, cert = is_balanced(bad)
 print(f"weights (2,1,1) balanced: {ok}")
 print(f"certificate (the violating face): {cert!r}")

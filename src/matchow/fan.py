@@ -8,14 +8,14 @@ class of e_S maps to ([i in S] - [0 in S])_{i=1..n}.
 Cones of the braid fan are stored combinatorially as flags of proper
 nonempty subsets of E; the cone spanned by {e_S : S in flag} recovers the
 geometry.  A weighted fan is a dict from same-dimension flags to nonzero
-rational weights.  Balancing is tested by blocks, not by a linear solve: a
+weights, stored as given: the matroid fan and every tropical divisor of it
+carry ints.  Balancing is tested by blocks, not by a linear solve: a
 point lies in the span of a flag's rays iff its full coordinates are
 constant on each block S_1, S_2 - S_1, ..., E - S_d of the flag.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import LoopPresent, RangeError, Unbalanced
@@ -37,9 +37,9 @@ def e_image(n_elements: int, subset: Iterable[int]) -> Tuple[int, ...]:
     return tuple((1 if i in s else 0) - base for i in range(1, n_elements))
 
 
-def full_coordinates(point: Sequence) -> Tuple[Fraction, ...]:
+def full_coordinates(point: Sequence) -> tuple:
     """The representative of a quotient point whose 0-coordinate is zero."""
-    return (Fraction(0),) + tuple(Fraction(x) for x in point)
+    return (0, *point)
 
 
 def flag_parts(n_elements: int, flag: FlagCone) -> List[Subset]:
@@ -56,31 +56,22 @@ def flag_parts(n_elements: int, flag: FlagCone) -> List[Subset]:
     return parts
 
 
-def level_prefixes(n_elements: int, point: Sequence) -> list[Tuple[Fraction, Subset]]:
-    """The distinct full coordinates of a point in decreasing order, each
-    paired with the set of elements whose coordinate is at least that value.
-
-    The prefixes before the last (which is the whole ground set) form the
-    flag of the smallest braid cone containing the point, and consecutive
-    value gaps are the point's coefficients on those flag generators.
-    """
+def braid_cone_of(n_elements: int, point: Sequence) -> FlagCone:
+    """Flag of the smallest braid cone containing the point: for each distinct
+    full coordinate but the smallest, in decreasing order, the set of
+    elements whose coordinate is at least that value."""
     coords = full_coordinates(point)
     if len(coords) != n_elements:
         raise ValueError("point has the wrong dimension")
-    levels: Dict[Fraction, set] = {}
+    levels: Dict[object, set] = {}
     for e, value in enumerate(coords):
         levels.setdefault(value, set()).add(e)
-    out = []
-    prefix: set = set()
-    for value in sorted(levels, reverse=True):
+    flag = []
+    prefix: Subset = frozenset()
+    for value in sorted(levels, reverse=True)[:-1]:
         prefix |= levels[value]
-        out.append((value, frozenset(prefix)))
-    return out
-
-
-def braid_cone_of(n_elements: int, point: Sequence) -> FlagCone:
-    """Flag of the smallest braid cone containing the point."""
-    return tuple(prefix for _, prefix in level_prefixes(n_elements, point)[:-1])
+        flag.append(prefix)
+    return tuple(flag)
 
 
 class WeightedFan:
@@ -92,15 +83,14 @@ class WeightedFan:
         self,
         n_elements: int,
         dim: int,
-        weights: Dict[FlagCone, Fraction],
+        weights: Dict[FlagCone, int],
     ):
-        clean: Dict[FlagCone, Fraction] = {}
+        clean: Dict[FlagCone, int] = {}
         for flag, w in weights.items():
             flag = tuple(frozenset(s) for s in flag)
             if len(flag) != dim:
                 raise ValueError(f"cone {flag} has dimension {len(flag)}, expected {dim}")
             flag_parts(n_elements, flag)
-            w = Fraction(w)
             if w != 0:
                 clean[flag] = w
         self.n_elements = n_elements
@@ -110,13 +100,13 @@ class WeightedFan:
     def cones(self) -> list[FlagCone]:
         return sorted(self.weights, key=flag_key)
 
-    def weight(self, flag: FlagCone) -> Fraction:
-        return self.weights.get(tuple(frozenset(s) for s in flag), Fraction(0))
+    def weight(self, flag: FlagCone) -> int:
+        return self.weights.get(tuple(frozenset(s) for s in flag), 0)
 
     def reweighted(self, flag: FlagCone, w) -> "WeightedFan":
         """Copy with one cone's weight replaced (used to build counterexamples)."""
         weights = dict(self.weights)
-        weights[tuple(frozenset(s) for s in flag)] = Fraction(w)
+        weights[tuple(frozenset(s) for s in flag)] = w
         return WeightedFan(self.n_elements, self.dim, weights)
 
     def __eq__(self, other):
@@ -143,7 +133,7 @@ def matroid_fan(m: Matroid) -> WeightedFan:
     if r < 0:
         raise RangeError("a rank-0 matroid has no matroid fan (its dimension would be -1)")
     flags = m.lattice().chains(1, r)
-    return WeightedFan(m.n_elements, r, {f: Fraction(1) for f in flags})
+    return WeightedFan(m.n_elements, r, {f: 1 for f in flags})
 
 
 def in_rational_span(flag: FlagCone, point: Sequence) -> bool:
@@ -159,7 +149,7 @@ def in_rational_span(flag: FlagCone, point: Sequence) -> bool:
 
 def codim_one_stars(
     fan: WeightedFan,
-) -> list[Tuple[FlagCone, list[Tuple[Subset, Fraction]], Tuple[Fraction, ...]]]:
+) -> list[Tuple[FlagCone, list[Tuple[Subset, int]], Tuple[int, ...]]]:
     """Every codimension-one face tau in canonical order, with the extra ray
     and weight of each cone of the fan that contains it, and the weighted
     sum of those extra rays in quotient coordinates."""
@@ -172,7 +162,7 @@ def codim_one_stars(
     for tau in sorted(stars, key=flag_key):
         # Full coordinates of the sum of w * e_S add w to each member of S;
         # pinning element 0 to zero turns them into quotient coordinates.
-        full = [Fraction(0)] * n
+        full = [0] * n
         for extra, w in stars[tau]:
             for e in extra:
                 full[e] += w

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from matchow import (
     truncation_weight,
 )
 from matchow.fan import WeightedFan, balancing_certificate
-from matchow.tropical import PLFunction
 
 fs = frozenset
 
@@ -35,25 +35,47 @@ fs = frozenset
 # ---------------------------------------------------------------------------
 
 
+def _proper_subsets(n):
+    for size in range(1, n):
+        yield from map(fs, itertools.combinations(range(n), size))
+
+
+def _courant(n, ray_values, point):
+    """Reference evaluation from a table of values on the rays e_S: split the
+    point's full coordinates into level groups and combine the values of the
+    level prefixes, weighted by the gaps between consecutive levels."""
+    coords = (Fraction(0), *map(Fraction, point))
+    levels = sorted(set(coords), reverse=True)
+    total = Fraction(0)
+    for hi, lo in zip(levels, levels[1:]):
+        prefix = fs(e for e in range(n) if coords[e] >= hi)
+        total += (hi - lo) * ray_values[prefix]
+    return total
+
+
 def test_pl_functions_recover_ray_values():
-    for n in (3, 4):
-        fns = [pl_alpha(n), pl_beta(n), pl_linear(n, {1: 2, 2: -2})]
-        for f in fns:
-            for s, expected in f.ray_values.items():
-                assert f(e_image(n, s)) == expected
-
-
-def test_pl_alpha_beta_tables():
-    a = pl_alpha(3)
-    assert a.ray_values[fs({0})] == 1
-    assert a.ray_values[fs({1})] == 0
-    assert a.ray_values[fs({0, 2})] == 1
-    b = pl_beta(3)
-    assert b.ray_values[fs({0})] == 0
-    assert b.ray_values[fs({1, 2})] == 1
-    # together they sum to the Courant function of every ray
-    for s in a.ray_values:
-        assert a.ray_values[s] + b.ray_values[s] == 1
+    # each closed form against the Courant extension of its ray table, at
+    # every ray and at random points with negative and fractional coordinates
+    rng = random.Random(37)
+    for n in range(2, 7):
+        coeffs = {0: 3, n - 1: -1, n // 2: -2} if n > 2 else {0: 3, 1: -3}
+        cases = [
+            (pl_alpha(n), lambda s: 1 if 0 in s else 0),
+            (pl_beta(n), lambda s: 0 if 0 in s else 1),
+            (pl_linear(n, coeffs), lambda s: sum(coeffs.get(e, 0) for e in s)),
+        ]
+        points = [
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n - 1))
+            for _ in range(50)
+        ]
+        points += [tuple(rng.choice((-2, 0, Fraction(1, 3))) for _ in range(n - 1))
+                   for _ in range(10)]
+        for f, ray_value in cases:
+            table = {s: ray_value(s) for s in _proper_subsets(n)}
+            for s, expected in table.items():
+                assert f(e_image(n, s)) == expected == _courant(n, table, e_image(n, s))
+            for pt in points:
+                assert f(pt) == _courant(n, table, pt)
 
 
 def test_pl_positive_homogeneity_and_cone_additivity():
@@ -78,11 +100,17 @@ def test_pl_linear_is_globally_linear():
         pl_linear(3, {1: 1})
 
 
-def test_pl_function_rejects_improper_rays():
-    with pytest.raises(ValueError):
-        PLFunction(3, {fs(): Fraction(1)})
-    with pytest.raises(ValueError):
-        PLFunction(3, {fs({0, 1, 2}): Fraction(1)})
+def test_pl_linear_rejects_keys_outside_the_ground_set():
+    for coeffs in ({5: 1, 6: -1}, {-1: 1, 0: -1}, {True: 1, 2: -1}, {"1": 1, 2: -1}):
+        with pytest.raises(ValueError):
+            pl_linear(3, coeffs)
+
+
+def test_pl_function_rejects_wrong_dimension():
+    for f in (pl_alpha(3), pl_beta(3), pl_linear(3, {0: 1, 2: -1})):
+        for point in ((), (1,), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                f(point)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +265,25 @@ def test_deg_tropical_matches_mu(suite_matroid, fig1):
     for m in (suite_matroid, fig1):
         for k in range(m.rank()):
             assert deg_tropical(m, k) == m.mu(k)
+
+
+def test_deg_tropical_reaches_k5_u49_and_k6():
+    for m in (
+        Matroid.from_graph(list(itertools.combinations(range(5), 2))),
+        Matroid.uniform(4, 9),
+        Matroid.from_graph(list(itertools.combinations(range(6), 2))),
+    ):
+        for k in range(m.rank()):
+            assert deg_tropical(m, k) == m.mu(k)
+
+
+def test_fan_and_divisor_weights_are_ints(suite_matroid):
+    m = suite_matroid
+    r = m.rank() - 1
+    fans = [matroid_fan(m), truncation_weight(m, 1, r)]
+    fans += [divisor(f(m.n_elements), fans[0]) for f in (pl_alpha, pl_beta)]
+    for fan in fans:
+        assert all(type(w) is int for w in fan.weights.values())
 
 
 def test_deg_tropical_guards():
