@@ -78,6 +78,19 @@ def test_pl_functions_recover_ray_values():
                 assert f(pt) == _courant(n, table, pt)
 
 
+def test_pl_alpha_beta_tables():
+    a = pl_alpha(3)
+    assert a(e_image(3, fs({0}))) == 1
+    assert a(e_image(3, fs({1}))) == 0
+    assert a(e_image(3, fs({0, 2}))) == 1
+    b = pl_beta(3)
+    assert b(e_image(3, fs({0}))) == 0
+    assert b(e_image(3, fs({1, 2}))) == 1
+    # together they sum to the Courant function of every ray
+    for s in _proper_subsets(3):
+        assert a(e_image(3, s)) + b(e_image(3, s)) == 1
+
+
 def test_pl_positive_homogeneity_and_cone_additivity():
     rng = random.Random(51)
     f = pl_alpha(4)
