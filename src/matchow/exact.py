@@ -3,11 +3,12 @@ multivariate polynomials.
 
 Everything here is exact.  Rationals are ``fractions.Fraction``, integers are
 Python ints, and the lattice index comes from elementary row reductions over
-Z (Hermite-style elimination; the Smith form is kept only as an independent
-reference that tests check lattice indices against).  Of the four routes
-only stable calls ``solve_linear`` and ``lattice_index``.  Dimensions in
-this library stay below ten, so the classical O(n^3) algorithms with exact
-pivoting are the right tool.
+Z (Hermite-style elimination).  Of the four routes only stable calls
+``lattice_index``.  No route calls ``solve_linear`` or the Smith form: both
+are kept as independent references that the tests check lattice indices,
+fan spans and stable points against.  Dimensions in this library stay
+below ten, so the classical O(n^3) algorithms with exact pivoting are the
+right tool.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def solve_linear(
     """Exact Gaussian elimination for A x = rhs over the rationals.
 
     Returns ("unique", solution), ("inconsistent", None), or
-    ("underdetermined", None).
+    ("underdetermined", None).  No route calls this; it is the reference
+    that the tests hold fan spans and the stable points against.
     """
     rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
     if len(rows) != len(matrix) or len(rows) != len(rhs):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -362,3 +364,17 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["value"] == "8"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI call pays for what importing matchow.cli pulls in
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, matchow.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

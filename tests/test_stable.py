@@ -18,11 +18,20 @@ from matchow import (
     deg_stable,
     intersect_triple,
     stable_intersection_points,
+    triangle_with_pendant,
 )
 from matchow.chowlex import surviving_flags
 from matchow.exact import hermite_row_reduce, solve_linear
 from matchow.fan import flag_parts, full_coordinates, matroid_fan
-from matchow.stable import _check_monotone, _span_generators, displacement_vectors
+from matchow.stable import (
+    _check_monotone,
+    _coincident_difference,
+    _scaled,
+    _span_generators,
+    displacement_vectors,
+)
+
+from conftest import SUITE_IDS, SUITE_MATROIDS
 
 fs = frozenset
 
@@ -253,6 +262,32 @@ def test_intersection_part_structure(suite_matroid):
             assert len(p.smallest & p.largest) <= 1
 
 
+def _every_triple(m: Matroid, k: int, a, b):
+    """Reference: intersect_triple on every (flag, I, J), in enumeration order."""
+    n_el = m.n_elements
+    r = m.rank() - 1
+    hits = []
+    for flag in matroid_fan(m).cones():
+        for I in itertools.combinations(range(n_el), r - k + 1):
+            for J in itertools.combinations(range(n_el), k + 1):
+                hit = intersect_triple(flag, I, J, a, b)
+                if hit is not None:
+                    hits.append(hit)
+    return hits
+
+
+@pytest.mark.parametrize(
+    "m",
+    [*SUITE_MATROIDS, triangle_with_pendant()],
+    ids=[*SUITE_IDS, "fig1"],
+)
+def test_enumeration_matches_every_triple(m):
+    # the pruned tree patterns lose no hit and reorder none, at the same draw
+    for k in range(m.rank()):
+        points, (a, b) = stable_intersection_points(m, k, seed=0)
+        assert points == _every_triple(m, k, a, b)
+
+
 def test_all_indices_are_one(suite_matroid):
     m = suite_matroid
     for k in range(m.rank()):
@@ -263,6 +298,19 @@ def test_deg_stable_matches_mu(suite_matroid, fig1):
     for m in (suite_matroid, fig1):
         for k in range(m.rank()):
             assert deg_stable(m, k) == m.mu(k)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        Matroid.uniform(4, 8),
+        Matroid.from_graph(list(itertools.combinations(range(5), 2))),
+        Matroid.uniform(4, 9),
+    ],
+    ids=["uniform(4,8)", "K5", "uniform(4,9)"],
+)
+def test_deg_stable_matches_mu_on_larger_matroids(m):
+    assert [deg_stable(m, k) for k in range(m.rank())] == list(m.mu_vector())
 
 
 def test_deg_stable_seed_invariance():
@@ -287,6 +335,33 @@ def test_degenerate_draw_is_retried(monkeypatch):
     monkeypatch.setattr(stable_mod, "displacement_vectors", flaky)
     assert stable_mod.deg_stable(complete_graph_k4(), 1, seed=0) == 5
     assert len(calls) >= 2
+
+
+def test_draw_with_one_coincident_difference_is_redrawn(monkeypatch):
+    # b_1 - b_0 = a_0 - a_1 and no other difference coincides: no tree
+    # pattern ties, but the draw fails the genericity check all the same
+    m = complete_graph_k4()
+    n = m.n_elements
+    a, b = displacement_vectors(n, 0)
+    gap = -a[0]
+    b_one = (gap, *(gap + x - b[0] for x in b[1:]))
+    fa, fb, _ = _scaled(full_coordinates(a), full_coordinates(b_one))
+    pairs = list(itertools.combinations(range(n), 2))
+    a_gaps = {fa[s] - fa[t] for s, t in pairs}
+    assert sum(fb[t] - fb[s] in a_gaps for s, t in pairs) == 1
+    assert _coincident_difference(fa, fb)
+
+    calls = []
+
+    def draws(n_elements, seed):
+        calls.append(seed)
+        return (a, b_one) if len(calls) == 1 else displacement_vectors(n_elements, seed)
+
+    monkeypatch.setattr(stable_mod, "displacement_vectors", draws)
+    points, drawn = stable_mod.stable_intersection_points(m, 1, seed=0)
+    assert calls == [0, 1]
+    assert drawn == displacement_vectors(n, 1)
+    assert sum(p.index for p in points) == m.mu(1)
 
 
 def test_redraw_gives_up_after_32(monkeypatch):
