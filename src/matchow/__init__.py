@@ -30,10 +30,9 @@ from .errors import (
     RangeError,
     Unbalanced,
 )
-from .exact import MultiPoly
 from .fan import braid_cone_of, e_image, full_coordinates, is_balanced, matroid_fan
 from .matroid import Matroid, complete_graph_k4, poly_q_str, triangle_with_pendant
-from .piecewise import chambers, deg_pp, rep_alpha, rep_beta
+from .piecewise import deg_pp
 from .stable import deg_stable, intersect_triple, stable_intersection_points
 from .tropical import deg_tropical, divisor, pl_alpha, pl_beta, pl_linear, truncation_weight
 
@@ -51,12 +50,10 @@ __all__ = [
     "LoopPresent",
     "MatchowError",
     "Matroid",
-    "MultiPoly",
     "NotFullRank",
     "RangeError",
     "Unbalanced",
     "braid_cone_of",
-    "chambers",
     "complete_graph_k4",
     "deg_lex",
     "deg_pp",
@@ -72,8 +69,6 @@ __all__ = [
     "pl_beta",
     "pl_linear",
     "poly_q_str",
-    "rep_alpha",
-    "rep_beta",
     "stable_intersection_points",
     "triangle_with_pendant",
     "truncation_weight",

@@ -1,5 +1,4 @@
-"""Exact arithmetic: lattice indices, rational linear solves and sparse
-multivariate polynomials.
+"""Exact arithmetic: lattice indices and rational linear solves.
 
 Everything here is exact.  Rationals are ``fractions.Fraction``, integers are
 Python ints, and the lattice index comes from elementary row reductions over
@@ -14,11 +13,9 @@ right tool.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import NotFullRank
-
-Exponent = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -188,69 +185,3 @@ def smith_invariant_factors(rows: Iterable[Sequence[int]]) -> list[int]:
         factors.append(pivot)
         t += 1
     return factors
-
-
-# ---------------------------------------------------------------------------
-# Sparse multivariate polynomials
-# ---------------------------------------------------------------------------
-
-
-def _coerce_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
-class MultiPoly:
-    """Multivariate polynomial with Fraction coefficients.
-
-    Terms are stored sparsely as {exponent tuple: coefficient} with one
-    exponent slot per variable; zero coefficients are never kept.
-    """
-
-    __slots__ = ("n_vars", "terms")
-
-    def __init__(self, n_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
-        self.n_vars = n_vars
-        clean: Dict[Exponent, Fraction] = {}
-        for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != n_vars or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent {exp} for {n_vars} variables")
-            coeff = _coerce_coeff(coeff)
-            if coeff != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + coeff
-                if clean[exp] == 0:
-                    del clean[exp]
-        self.terms = clean
-
-    @classmethod
-    def variable(cls, n_vars: int, i: int) -> "MultiPoly":
-        exp = [0] * n_vars
-        exp[i] = 1
-        return cls(n_vars, {tuple(exp): Fraction(1)})
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.n_vars != other.n_vars:
-            raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return MultiPoly(self.n_vars, terms)
-
-    def __neg__(self) -> "MultiPoly":
-        return self * -1
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "MultiPoly":
-        c = _coerce_coeff(scalar)
-        return MultiPoly(self.n_vars, {e: c * v for e, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.n_vars == other.n_vars and self.terms == other.terms

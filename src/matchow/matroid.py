@@ -57,6 +57,12 @@ def _members(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _require_element(e, n_elements: int) -> None:
+    # type() rather than isinstance(): True is no name for element 1
+    if type(e) is not int or not 0 <= e < n_elements:
+        raise ValueError(f"element {e!r} is not an integer in 0..{n_elements - 1}")
+
+
 def _one_smaller(masks: Iterable[int]) -> Set[int]:
     """Every mask obtained from one of the masks by clearing one set bit."""
     out = set()
@@ -232,17 +238,15 @@ class Matroid:
     __slots__ = ("n_elements", "_masks", "_rank_cache", "_lattice", "_char_poly")
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
+        if type(n_elements) is not int:
+            raise ValueError(f"n_elements={n_elements!r} is not an integer")
         if n_elements < 0:
             raise ValueError(f"n_elements={n_elements} is negative")
         masks = []
         for b in bases:
             b = tuple(b)
             for e in b:
-                # bool is an int subclass, but True is no name for element 1
-                if isinstance(e, bool) or not isinstance(e, int):
-                    raise ValueError(f"element {e!r} is not an integer")
-                if not 0 <= e < n_elements:
-                    raise ValueError(f"element {e!r} outside 0..{n_elements - 1}")
+                _require_element(e, n_elements)
             mask = _mask(b)
             if mask.bit_count() != len(b):
                 raise ValueError(f"basis {list(b)} lists an element twice")
@@ -263,6 +267,8 @@ class Matroid:
 
     @classmethod
     def uniform(cls, rank: int, n_elements: int) -> "Matroid":
+        if type(rank) is not int or type(n_elements) is not int:
+            raise ValueError(f"rank={rank!r} and n_elements={n_elements!r} must be integers")
         if not (0 <= rank <= n_elements):
             raise ValueError("need 0 <= rank <= n_elements")
         return cls(
@@ -430,8 +436,8 @@ class Matroid:
         if not self.is_loopless():
             raise LoopPresent("degree needs a loopless matroid")
         r = self.rank() - 1
-        if not (0 <= k <= r):
-            raise KOutOfRange(f"k={k} outside 0..{r}")
+        if type(k) is not int or not 0 <= k <= r:
+            raise KOutOfRange(f"k={k!r} outside 0..{r}")
         return r
 
     def reduced_char_poly(self) -> Tuple[int, ...]:
@@ -470,6 +476,7 @@ class Matroid:
 
     def delete(self, e: int) -> "Matroid":
         """Deletion; a coloop is dropped from every basis instead."""
+        _require_element(e, self.n_elements)
         bit = 1 << e
         if e in self.coloops():
             kept = [b ^ bit for b in self._masks]
@@ -478,6 +485,7 @@ class Matroid:
         return self._relabel_without(e, kept)
 
     def contract(self, e: int) -> "Matroid":
+        _require_element(e, self.n_elements)
         if e in self.loops():
             raise LoopContract(f"element {e} is a loop")
         bit = 1 << e

@@ -32,8 +32,9 @@ point is never degenerate, so no point is ever redrawn.  A second point
 modulo a second prime must give the same reading: a sum that is not
 constant, or a residue that does not read as c, fails that check.
 
-`chamber_denominator` and `generic_point` evaluate single chambers in
-`Fraction`; they are the reference the chamber-sum tests build on.
+No route calls `chambers`, `greedy_basis`, `chamber_denominator` or
+`generic_point`: they spell out the n! chamber sum in `Fraction`, the
+reference the tests hold the dynamic program against.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ import itertools
 import random
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import DegeneratePoint
-from .exact import MultiPoly
 from .matroid import Matroid
 
 Perm = Tuple[int, ...]
@@ -66,34 +66,6 @@ def greedy_basis(m: Matroid, order: Sequence[int]) -> frozenset:
         if m.rank(chosen | {e}) > len(chosen):
             chosen.add(e)
     return frozenset(chosen)
-
-
-class FacetPolynomial:
-    """One exact polynomial per permutation chamber of the braid fan."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Dict[Perm, MultiPoly]):
-        self.parts = parts
-
-
-def _variable_difference(n_elements: int, i: int, j: int) -> MultiPoly:
-    """t_i - t_j; the zero polynomial when i == j."""
-    return MultiPoly.variable(n_elements, i) - MultiPoly.variable(n_elements, j)
-
-
-def rep_alpha(n_elements: int, f: int = 0) -> FacetPolynomial:
-    """Chamber-wise t_f - t_(last of the chamber order)."""
-    return FacetPolynomial(
-        {c: _variable_difference(n_elements, f, c[-1]) for c in chambers(n_elements)}
-    )
-
-
-def rep_beta(n_elements: int, f: int = 0) -> FacetPolynomial:
-    """Chamber-wise t_(first of the chamber order) - t_f."""
-    return FacetPolynomial(
-        {c: _variable_difference(n_elements, c[0], f) for c in chambers(n_elements)}
-    )
 
 
 def chamber_denominator(perm: Perm, point: Sequence[Fraction]) -> Fraction:

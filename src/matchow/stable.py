@@ -59,7 +59,7 @@ from .exact import (
     solve_linear,  # unused here; bench/spans.py wraps it in this namespace
 )
 from .fan import FlagCone, e_image, flag_parts, full_coordinates, matroid_fan
-from .matroid import Matroid
+from .matroid import Matroid, _require_element
 
 Subset = FrozenSet[int]
 Vector = Tuple[Fraction, ...]
@@ -241,8 +241,11 @@ def intersect_triple(
     Returns the intersection point with its lattice index, or None when the
     three relative interiors do not meet.  Raises DegenerateSystem whenever
     the outcome is not an exact transversal point (tie or singular system).
+    Raises ValueError unless every member of smallest and largest is in 0..n-1.
     """
     n_el = len(a) + 1
+    for e in (*smallest, *largest):
+        _require_element(e, n_el)
     fa, fb, scale = _scaled(*_check_monotone(n_el, a, b))
     block = _block_index(n_el, flag_parts(n_el, flag))
     return _meet(flag, block, frozenset(smallest), frozenset(largest), fa, fb, scale)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import pytest
 
 from matchow import Matroid, complete_graph_k4, triangle_with_pendant
@@ -18,6 +20,18 @@ def suite_matroids() -> list[tuple[str, Matroid]]:
         ("k4", complete_graph_k4()),
         ("fano", Matroid.fano()),
     ]
+
+
+def relabel(m: Matroid, perm: Sequence[int]) -> Matroid:
+    """m with each element e renamed perm[e]; perm permutes 0..n-1."""
+    return Matroid(m.n_elements, [[perm[e] for e in b] for b in m.bases])
+
+
+def swap(n_elements: int, i: int, j: int) -> list[int]:
+    """The permutation of 0..n-1 that exchanges i and j."""
+    perm = list(range(n_elements))
+    perm[i], perm[j] = j, i
+    return perm
 
 
 SUITE = suite_matroids()

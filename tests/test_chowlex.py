@@ -87,6 +87,8 @@ def test_deg_lex_guards():
         deg_lex(b3, 3)
     with pytest.raises(KOutOfRange):
         deg_lex(b3, -1)
+    with pytest.raises(KOutOfRange, match="k=True outside"):
+        deg_lex(Matroid.uniform(2, 3), True)
     looped = Matroid.from_graph([(0, 0), (0, 1)])
     with pytest.raises(LoopPresent):
         deg_lex(looped, 0)

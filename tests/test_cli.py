@@ -251,7 +251,7 @@ def test_bases_bool_element_is_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "invariants", "--bases", str(path))
     assert code == 2
     assert out == ""
-    assert err == "error: element True is not an integer\n"
+    assert err == "error: element True is not an integer in 0..1\n"
 
 
 def test_bases_repeated_element_is_exit_2(capsys, tmp_path):

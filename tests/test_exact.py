@@ -1,4 +1,4 @@
-"""Lattice utilities and exact multivariate polynomials."""
+"""Lattice utilities and exact linear solves."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from matchow import MultiPoly, NotFullRank
+from matchow import NotFullRank
 from matchow.exact import (
     hermite_row_reduce,
     lattice_index,
@@ -110,50 +110,3 @@ def test_solve_linear_inconsistent_and_underdetermined():
     assert status == "inconsistent"
     status, _ = solve_linear([[one, one], [Fraction(2), Fraction(2)]], [one, Fraction(2)])
     assert status == "underdetermined"
-
-
-# ---------------------------------------------------------------------------
-# MultiPoly
-# ---------------------------------------------------------------------------
-
-
-def test_poly_zero_terms_dropped():
-    p = MultiPoly(2, {(1, 0): Fraction(1), (0, 1): Fraction(0)})
-    q = MultiPoly.variable(2, 0)
-    assert p == q
-    assert (p - p).terms == {}
-    assert p - p == MultiPoly(2)
-
-
-def test_poly_additive_laws_random():
-    rng = random.Random(13)
-
-    def random_poly(n_vars):
-        terms = {}
-        for _ in range(rng.randint(0, 4)):
-            exp = tuple(rng.randint(0, 2) for _ in range(n_vars))
-            terms[exp] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        return MultiPoly(n_vars, terms)
-
-    for _ in range(40):
-        n_vars = rng.randint(1, 3)
-        p, q, r = (random_poly(n_vars) for _ in range(3))
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        assert (p + q) + r == p + (q + r)
-        assert p + q == q + p
-        assert p - q == -(q - p)
-        assert -p == p * Fraction(-1)
-        assert (p + q) * c == p * c + q * c
-
-
-def test_poly_rejects_mismatched_variable_counts():
-    with pytest.raises(ValueError):
-        MultiPoly.variable(2, 0) + MultiPoly.variable(3, 0)
-    assert MultiPoly.variable(2, 0) != MultiPoly.variable(3, 0)
-
-
-def test_poly_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        MultiPoly(2, {(1,): Fraction(1)})
-    with pytest.raises(ValueError):
-        MultiPoly(2, {(-1, 0): Fraction(1)})

@@ -132,6 +132,17 @@ def test_bool_and_repeated_elements_rejected():
         Matroid(3, [[0, 1], [2, 2]])
     with pytest.raises(ValueError, match="negative"):
         Matroid(-1, [[]])
+    # a size must be an int: no float, and no bool standing in for 0 or 1
+    with pytest.raises(ValueError, match="n_elements=2.0 is not an integer"):
+        Matroid(2.0, [[0]])
+    with pytest.raises(ValueError, match="n_elements=True is not an integer"):
+        Matroid(True, [[0]])
+    with pytest.raises(ValueError, match="rank=True and n_elements=3 must be integers"):
+        Matroid.uniform(True, 3)
+    with pytest.raises(ValueError, match="n_elements=3.0 must be integers"):
+        Matroid.uniform(2, 3.0)
+    with pytest.raises(ValueError, match="must be integers"):
+        Matroid.boolean(False)
 
 
 def test_rank_zero_has_no_reduced_polynomial():
@@ -440,6 +451,9 @@ def test_mu_out_of_range(fig1):
         fig1.mu(-1)
     with pytest.raises(KOutOfRange):
         fig1.mu(fig1.rank())
+    for k in (True, 1.0):
+        with pytest.raises(KOutOfRange, match=f"k={k!r} outside"):
+            Matroid.fano().mu(k)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +468,14 @@ def test_delete_contract_ranks(fig1):
     # deleting the pendant coloop drops it from every basis instead
     tri = fig1.delete(3)
     assert tri == Matroid.uniform(2, 3)
+
+
+def test_delete_and_contract_reject_non_elements():
+    fano = Matroid.fano()
+    for e in (7, -1, True, 1.0):
+        for minor in (fano.delete, fano.contract):
+            with pytest.raises(ValueError, match=rf"element {e!r} .* in 0\.\.6$"):
+                minor(e)
 
 
 def test_deletion_contraction_of_mu(suite_matroid):

@@ -14,21 +14,13 @@ from matchow import (
     KOutOfRange,
     LoopPresent,
     Matroid,
-    MultiPoly,
-    chambers,
     complete_graph_k4,
     deg_pp,
-    rep_alpha,
-    rep_beta,
 )
 from matchow.cli import main
-from matchow.piecewise import chamber_denominator, generic_point, greedy_basis
+from matchow.piecewise import chamber_denominator, chambers, generic_point, greedy_basis
 
 from conftest import SUITE_MATROIDS
-
-
-def _difference(n, i, j):
-    return MultiPoly.variable(n, i) - MultiPoly.variable(n, j)
 
 
 def test_greedy_basis_examples():
@@ -36,15 +28,6 @@ def test_greedy_basis_examples():
     # 0,1 get picked, 2 closes the triangle and is skipped
     assert greedy_basis(k4, (0, 1, 2, 3, 4, 5)) == frozenset({0, 1, 3})
     assert greedy_basis(Matroid.uniform(2, 4), (3, 2, 1, 0)) == frozenset({2, 3})
-
-
-def test_rep_alpha_beta_chamber_polynomials():
-    alpha = rep_alpha(3)
-    assert alpha.parts[(0, 1, 2)] == _difference(3, 0, 2)
-    assert alpha.parts[(1, 2, 0)] == MultiPoly(3)
-    beta = rep_beta(3)
-    assert beta.parts[(0, 1, 2)] == MultiPoly(3)
-    assert beta.parts[(1, 0, 2)] == _difference(3, 1, 0)
 
 
 def test_chamber_denominator_degenerate():
@@ -113,6 +96,8 @@ def test_deg_pp_guards():
     b3 = Matroid.boolean(3)
     with pytest.raises(KOutOfRange):
         deg_pp(b3, 5)
+    with pytest.raises(KOutOfRange, match="k=True outside"):
+        deg_pp(b3, True)
     looped = Matroid.from_graph([(0, 0), (0, 1)])
     with pytest.raises(LoopPresent):
         deg_pp(looped, 0)

@@ -124,6 +124,15 @@ def test_intersect_triple_misses():
     assert intersect_triple((fs({0}),), (1, 2), (1, 2), A3, B3) is None
 
 
+def test_intersect_triple_rejects_non_elements():
+    # the first flag of U(2,3); -3 used to read as element 0, 5 to index past the end
+    flag = matroid_fan(Matroid.uniform(2, 3)).cones()[0]
+    cases = [([-3, 1], [0, 1]), ([0, 1], [1, 5]), ([0, 0.5], [1, 2]), ([True, 2], [0, 1])]
+    for smallest, largest in cases:
+        with pytest.raises(ValueError, match=r"is not an integer in 0\.\.2"):
+            intersect_triple(flag, smallest, largest, A3, B3)
+
+
 def test_intersect_triple_underdetermined_raises():
     # on four elements these rows never pin x_3, so the system is singular
     a = _int_vec(-1, -2, -3)
@@ -376,6 +385,8 @@ def test_deg_stable_guards():
     b3 = Matroid.boolean(3)
     with pytest.raises(KOutOfRange):
         deg_stable(b3, 9)
+    with pytest.raises(KOutOfRange, match="k=True outside"):
+        deg_stable(b3, True)
     looped = Matroid.from_graph([(0, 0), (0, 1)])
     with pytest.raises(LoopPresent):
         deg_stable(looped, 0)

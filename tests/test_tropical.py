@@ -303,6 +303,8 @@ def test_deg_tropical_guards():
     b3 = Matroid.boolean(3)
     with pytest.raises(KOutOfRange):
         deg_tropical(b3, 3)
+    with pytest.raises(KOutOfRange, match="k=True outside"):
+        deg_tropical(b3, True)
     looped = Matroid.from_graph([(0, 0), (0, 1)])
     with pytest.raises(LoopPresent):
         deg_tropical(looped, 0)
