@@ -12,12 +12,24 @@ Frozensets appear only at the edge: `Matroid.bases`, `closure`, `loops`,
 iterable of elements.  Every construction, the named constructors, minors,
 duals and truncations included, runs the full basis-exchange check.
 
+The bases are also held transposed, as bit-sliced columns: column e is an
+int over basis indices with bit i set iff the i-th basis holds e.  A set of
+bases is then one int, and "the bases holding e", "the bases meeting S in j
+or more elements" and "the elements some chosen basis holds" are a few
+whole-int operations instead of a loop over the bases.
+
+The exchange check groups the pairs (B1, x) by T = B1 - x.  The ys with
+T + y a basis form a set Y_T that holds x and depends on T alone (in a
+matroid it is the cocircuit E - cl(T)), and B1 - x + y is a basis for some
+y in B2 - B1 exactly when B2 meets Y_T.  So each (r-1)-set T inside a basis
+costs one test: the columns of Y_T together must cover every basis.
+
 The characteristic polynomial is always computed twice, by the subset
 inclusion-exclusion sum and by the Moebius sum over the lattice of flats,
 and the two are asserted equal; callers therefore get a value that has
 already survived one independent cross-check.  The subset sum takes each
 subset's rank from a greedy independent subset grown along a depth-first
-walk of 2^E, not from the max-overlap rank the lattice is built with, so the
+walk of 2^E, not from the basis columns the lattice is built with, so the
 two sums share no rank code.
 """
 
@@ -61,6 +73,18 @@ def _require_element(e, n_elements: int) -> None:
     # type() rather than isinstance(): True is no name for element 1
     if type(e) is not int or not 0 <= e < n_elements:
         raise ValueError(f"element {e!r} is not an integer in 0..{n_elements - 1}")
+
+
+def _basis_columns(masks: Sequence[int], n_elements: int) -> list[int]:
+    """The bases transposed: bit i of column e is set iff masks[i] holds e."""
+    rows = [bytearray((len(masks) + 7) >> 3) for _ in range(n_elements)]
+    for i, b in enumerate(masks):
+        byte, bit = i >> 3, 1 << (i & 7)
+        while b:
+            low = b & -b
+            rows[low.bit_length() - 1][byte] |= bit
+            b ^= low
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def _one_smaller(masks: Iterable[int]) -> Set[int]:
@@ -128,15 +152,21 @@ class FlatLattice:
     outside F; each cover holds every e that generates it, so one closure
     per cover finds them all.  The bases meeting F + e in rank(F) + 1
     elements are the bases meeting F in rank(F) elements that hold e, so
-    each closure scans only those (see `Matroid._closure_mask`).  Moebius
-    values are accumulated bottom-up from mu(bottom) = 1 and
-    sum_{G <= F} mu(G) = 0 for F above the bottom.  The public views are
-    frozensets, and each level is sorted by its flats' sorted element tuples,
-    the order that flags, cones and the lex expansion follow.
+    they are one AND of F's tight bases with e's column, and the cover is
+    F + e plus every element that none of them holds.  For a hyperplane
+    cover cl(T), with T an (r-1)-set inside a basis, the elements left out
+    are the cocircuit Y_T = {y : T + y is a basis} whose columns the
+    exchange check ORs together.  Moebius values are accumulated bottom-up
+    from mu(bottom) = 1 and sum_{G <= F} mu(G) = 0 for F above the bottom,
+    where the flats below F are gathered along the cover relation, not by
+    testing every earlier flat.  The public views are frozensets, and each
+    level is sorted by its flats' sorted element tuples, the order that
+    flags, cones and the lex expansion follow.
     """
 
     def __init__(self, matroid: "Matroid"):
         self.matroid = matroid
+        columns = matroid._columns
         full = (1 << matroid.n_elements) - 1
         levels = [[matroid._closure_mask(0)]]
         covers: Dict[int, list[int]] = {}
@@ -148,22 +178,24 @@ class FlatLattice:
                 rest = full & ~f
                 while rest:
                     e = rest & -rest
-                    reach = 0
-                    for b in tight:
-                        if b & e:
-                            reach |= b
+                    reach = matroid._held(tight & columns[e.bit_length() - 1])
                     g = (f | e | ~reach) & full
                     rest &= ~g
                     above.append(g)
                 fresh.update(above)
             levels.append(sorted(fresh, key=_members))
-        mobius = {levels[0][0]: 1}
-        for level in levels[1:]:
-            for f in level:
-                mobius[f] = -sum(mu for g, mu in mobius.items() if not g & ~f)
 
-        view = {f: frozenset(_members(f)) for f in mobius}
-        position = {f: i for level in levels for i, f in enumerate(level)}
+        index = {f: i for i, f in enumerate(f for level in levels for f in level)}
+        below = dict.fromkeys(index, 0)  # the flats under each flat, by index
+        for f, above in covers.items():
+            under = below[f] | 1 << index[f]
+            for g in above:
+                below[g] |= under
+        mus: list[int] = []
+        for f in index:
+            mus.append(-sum(mus[i] for i in _members(below[f])) if below[f] else 1)
+
+        view = {f: frozenset(_members(f)) for f in index}
         self.flats_by_rank: Tuple[Tuple[Flat, ...], ...] = tuple(
             tuple(view[f] for f in level) for level in levels
         )
@@ -173,10 +205,10 @@ class FlatLattice:
             f: rk for rk, level in enumerate(self.flats_by_rank) for f in level
         }
         self._covers_above: Dict[Flat, Tuple[Flat, ...]] = {
-            view[f]: tuple(view[g] for g in sorted(above, key=position.__getitem__))
+            view[f]: tuple(view[g] for g in sorted(above, key=index.__getitem__))
             for f, above in covers.items()
         }
-        self.mobius: Dict[Flat, int] = {view[f]: mu for f, mu in mobius.items()}
+        self.mobius: Dict[Flat, int] = {view[f]: mu for f, mu in zip(index, mus)}
         self._proper: Tuple[Flat, ...] = tuple(
             f for level in self.flats_by_rank[1:-1] for f in level
         )
@@ -232,10 +264,11 @@ class Matroid:
 
     Instances are immutable after construction; minors and duals return new
     objects.  Every construction verifies the basis-exchange axiom.
-    `bases` is the frozenset view of the masks.
+    `bases` is the frozenset view of the masks, and `_columns` their
+    transpose over basis indices (see the module docstring).
     """
 
-    __slots__ = ("n_elements", "_masks", "_rank_cache", "_lattice", "_char_poly")
+    __slots__ = ("n_elements", "_masks", "_columns", "_rank_cache", "_lattice", "_char_poly")
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
         if type(n_elements) is not int:
@@ -259,6 +292,7 @@ class Matroid:
         self._masks: Tuple[int, ...] = tuple(sorted(set(masks)))
         _check_exchange(self._masks)
         self.n_elements = n_elements
+        self._columns = _basis_columns(self._masks, n_elements)
         self._rank_cache: Dict[int, int] = {}
         self._lattice: FlatLattice | None = None
         self._char_poly: Tuple[int, ...] | None = None
@@ -344,7 +378,7 @@ class Matroid:
     def rank(self, subset: Iterable[int] | None = None) -> int:
         if subset is None:
             return self._masks[0].bit_count()
-        key = _mask(subset)
+        key = self._subset_mask(subset)
         cached = self._rank_cache.get(key)
         if cached is None:
             cached = max((key & b).bit_count() for b in self._masks)
@@ -352,24 +386,45 @@ class Matroid:
         return cached
 
     def closure(self, subset: Iterable[int]) -> Flat:
-        return frozenset(_members(self._closure_mask(_mask(subset))))
+        return frozenset(_members(self._closure_mask(self._subset_mask(subset))))
 
-    def _tight_bases(self, subset: int) -> list[int]:
-        """The bases meeting the subset in rank(subset) elements."""
-        best, tight = -1, []
-        for b in self._masks:
-            overlap = (subset & b).bit_count()
-            if overlap > best:
-                best, tight = overlap, [b]
-            elif overlap == best:
-                tight.append(b)
-        return tight
+    def _subset_mask(self, subset: Iterable[int]) -> int:
+        subset = tuple(subset)
+        for e in subset:
+            _require_element(e, self.n_elements)
+        return _mask(subset)
+
+    def _tight_bases(self, subset: int) -> int:
+        """The bases meeting the subset in rank(subset) elements, as a bitmap
+        over basis indices.
+
+        at_least[j] holds the bases meeting the elements read so far in j or
+        more of them; reading e adds the bases of at_least[j - 1] that hold
+        e to at_least[j].  The highest nonempty level is the answer."""
+        at_least = [(1 << len(self._masks)) - 1]
+        for e in _members(subset):
+            column = self._columns[e]
+            top = at_least[-1] & column
+            for j in range(len(at_least) - 1, 0, -1):
+                at_least[j] |= at_least[j - 1] & column
+            if top:
+                at_least.append(top)
+        return at_least[-1]
+
+    def _held(self, chosen: int) -> int:
+        """The elements held by some basis of a bitmap over basis indices:
+        those whose column meets it."""
+        held = 0
+        for e, column in enumerate(self._columns):
+            if column & chosen:
+                held |= 1 << e
+        return held
 
     def _closure_mask(self, subset: int) -> int:
         """An element e outside S is in the closure of S unless some basis
         meeting S in rank(S) elements holds e: that basis meets S + e in one
         more."""
-        reach = reduce(or_, self._tight_bases(subset))
+        reach = self._held(self._tight_bases(subset))
         return (subset | ~reach) & ((1 << self.n_elements) - 1)
 
     def loops(self) -> Flat:
@@ -509,10 +564,12 @@ class Matroid:
         Each cover step F < G is labelled min(G - F); position i refers to
         the comparison of labels i and i+1 (1-indexed).
         """
-        wanted = frozenset(positions)
+        positions = tuple(positions)
         r_top = self.rank() - 1
-        if any(not (1 <= p <= r_top) for p in wanted):
-            raise KOutOfRange(f"descent positions {sorted(wanted)} outside 1..{r_top}")
+        # type() rather than isinstance(): True is no name for position 1
+        if any(type(p) is not int or not 1 <= p <= r_top for p in positions):
+            raise KOutOfRange(f"descent positions {list(positions)!r} outside 1..{r_top}")
+        wanted = frozenset(positions)
         count = 0
         for chain in self.lattice().maximal_chains():
             if descent_set(jordan_holder_word(chain)) == wanted:
@@ -537,32 +594,42 @@ def _check_exchange(masks: Tuple[int, ...]) -> None:
     """For every ordered pair of bases B1, B2 and x in B1 - B2, some y in
     B2 - B1 makes B1 - x + y a basis.
 
-    For each B1 and x in B1 the ys that make B1 - x + y a basis are found
-    once; then every B2 must hold x or one of those ys.  Bases, then x
-    ascending, then B2 are scanned in the order of the given tuple, so a
-    sorted tuple names a witness that depends only on the set of bases.
+    With T = B1 - x, the ys outside B1 that make T + y a basis, together
+    with x, are Y_T = {y : T + y is a basis}, which depends on T alone; in a
+    matroid it is the cocircuit E - cl(T).  A B2 holding x passes, and a B2 avoiding x passes
+    iff it holds one of the others, so the pair passes iff B2 meets Y_T.
+    Hence one pass over (basis, x) collects Y_T for every (r-1)-set T inside
+    a basis, and the check is that the columns of Y_T together cover every
+    basis.  Only when some T fails are the pairs rescanned: bases, then x
+    ascending, in the order of the given tuple, with the lowest uncovered
+    index as B2, so a sorted tuple names a witness that depends only on the
+    set of bases.
     """
-    mask_set = set(masks)
-    ground = reduce(or_, masks)
-    for b1 in masks:
-        xs = b1
+    cocircuits: Dict[int, int] = {}
+    for b in masks:
+        xs = b
         while xs:
             x = xs & -xs
             xs ^= x
-            trimmed = b1 ^ x
-            hit = x
-            ys = ground & ~b1
-            while ys:
-                y = ys & -ys
-                ys ^= y
-                if trimmed | y in mask_set:
-                    hit |= y
-            for b2 in masks:
-                if not b2 & hit:
-                    raise ExchangeViolation(
-                        f"no exchange for {x.bit_length() - 1} out of "
-                        f"{list(_members(b1))} toward {list(_members(b2))}"
-                    )
+            cocircuits[b ^ x] = cocircuits.get(b ^ x, 0) | x
+    columns = _basis_columns(masks, reduce(or_, masks).bit_length())
+    every = (1 << len(masks)) - 1
+    missed = {}
+    for t, ys in cocircuits.items():
+        met = reduce(or_, map(columns.__getitem__, _members(ys)))
+        if met != every:
+            missed[t] = every & ~met
+    if not missed:
+        return
+    for b1 in masks:
+        for x in _members(b1):
+            uncovered = missed.get(b1 ^ 1 << x)
+            if uncovered is not None:
+                b2 = masks[(uncovered & -uncovered).bit_length() - 1]
+                raise ExchangeViolation(
+                    f"no exchange for {x} out of "
+                    f"{list(_members(b1))} toward {list(_members(b2))}"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -356,11 +356,15 @@ def test_missing_required_flag_is_usage_exit_2():
 
 
 def test_console_entry_point_runs():
+    # the child interpreter finds matchow only through PYTHONPATH
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "matchow.cli", "deg", "--builtin", "fano",
          "--k", "2", "--method", "tropical", "--json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["value"] == "8"

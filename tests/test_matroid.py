@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -19,7 +21,7 @@ from matchow import (
     triangle_with_pendant,
 )
 import matchow.matroid as matroid_module
-from matchow.matroid import builtin, descent_set, jordan_holder_word
+from matchow.matroid import _members, builtin, descent_set, jordan_holder_word
 
 from conftest import SUITE, SUITE_IDS, SUITE_MATROIDS
 
@@ -84,6 +86,104 @@ def test_exchange_check_matches_frozenset_reference():
         assert accepted == _exchange_holds(bases), bases
         outcomes.add(accepted)
     assert outcomes == {True, False}
+
+
+def _pair_scan_exchange(masks) -> None:
+    """The exchange check as one scan of all bases per (B1, x): the
+    reference for the grouped check, witness order included."""
+    mask_set = set(masks)
+    ground = reduce(or_, masks)
+    for b1 in masks:
+        xs = b1
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            trimmed = b1 ^ x
+            hit = x
+            ys = ground & ~b1
+            while ys:
+                y = ys & -ys
+                ys ^= y
+                if trimmed | y in mask_set:
+                    hit |= y
+            for b2 in masks:
+                if not b2 & hit:
+                    raise ExchangeViolation(
+                        f"no exchange for {x.bit_length() - 1} out of "
+                        f"{list(_members(b1))} toward {list(_members(b2))}"
+                    )
+
+
+def _exchange_verdict(check, masks):
+    try:
+        check(masks)
+    except ExchangeViolation as err:
+        return str(err)
+    return None
+
+
+def _random_graph_bases(rng: random.Random, n_edges: int) -> list:
+    edges = [tuple(rng.sample(range(5), 2)) for _ in range(n_edges)]
+    return [_members(b) for b in Matroid.from_graph(edges)._masks]
+
+
+def test_grouped_exchange_check_matches_pair_scan():
+    # random equal-size families on up to 8 elements: samples of r-sets, and
+    # cycle matroids of random graphs with a basis dropped or one added
+    rng = random.Random(29)
+    verdicts = set()
+    for trial in range(600):
+        n = rng.randint(1, 8)
+        if trial % 2:
+            bases = _random_graph_bases(rng, n)
+            every = list(itertools.combinations(range(n), len(bases[0])))
+            if rng.random() < 0.4 and len(bases) > 1:
+                bases.remove(rng.choice(bases))
+            elif rng.random() < 0.5:
+                bases.append(rng.choice(every))
+        else:
+            every = list(itertools.combinations(range(n), rng.randint(0, n)))
+            bases = rng.sample(every, rng.randint(1, min(len(every), 12)))
+        masks = tuple(matroid_module._mask(b) for b in bases)
+        shuffled = list(dict.fromkeys(masks))
+        rng.shuffle(shuffled)
+        for order in (tuple(sorted(shuffled)), tuple(shuffled)):
+            expected = _exchange_verdict(_pair_scan_exchange, order)
+            assert _exchange_verdict(matroid_module._check_exchange, order) == expected, order
+            verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+def test_k7_rung_from_explicit_bases(monkeypatch):
+    # the 7^5 spanning trees of K7, one per Pruefer sequence, checked in full
+    edge_index = {e: i for i, e in enumerate(itertools.combinations(range(7), 2))}
+    trees = []
+    for code in itertools.product(range(7), repeat=5):
+        degree = [1] * 7
+        for v in code:
+            degree[v] += 1
+        tree = []
+        for v in code:
+            leaf = degree.index(1)
+            tree.append(edge_index[min(leaf, v), max(leaf, v)])
+            degree[leaf] -= 1
+            degree[v] -= 1
+        last = [u for u in range(7) if degree[u] == 1]
+        tree.append(edge_index[tuple(last)])
+        trees.append(tree)
+
+    calls = []
+    real_check = matroid_module._check_exchange
+    monkeypatch.setattr(
+        matroid_module, "_check_exchange", lambda masks: calls.append(masks) or real_check(masks)
+    )
+    k7 = Matroid(21, trees)
+    assert len(calls) == 1
+    assert len(k7.bases) == 16807
+    # flats of a complete graph's cycle matroid are the partitions of its
+    # vertices: Stirling numbers S(7, 7 - rank), Bell(7) = 877 in all
+    levels = k7.lattice().flats_by_rank
+    assert [len(level) for level in levels] == [1, 21, 140, 350, 301, 63, 1]
 
 
 def test_every_construction_checks_exchange_once(monkeypatch):
@@ -236,6 +336,16 @@ def test_loops_and_coloops():
     assert fig.loops() == frozenset()
 
 
+def test_rank_and_closure_reject_non_elements():
+    fano = Matroid.fano()
+    for subset in ([7], [9, 0], [True], [-1], [1.0]):
+        for query in (fano.rank, fano.closure):
+            with pytest.raises(ValueError, match=r"is not an integer in 0\.\.6$"):
+                query(subset)
+    assert fano.rank(iter([0, 1])) == 2
+    assert fano.closure(iter([0, 1])) == frozenset({0, 1, 2})
+
+
 def _rank_brute(m: Matroid, subset: frozenset) -> int:
     return max(len(subset & b) for b in m.bases)
 
@@ -279,6 +389,57 @@ def test_lattice_matches_brute_force(suite_matroid):
         for f in level:
             assert m.rank(f) == rk
             assert lat.flat_rank[f] == rk
+
+
+def _lattice_reference(m: Matroid):
+    """Flats by rank, covers and Moebius values from closures taken by
+    max-overlap rank over every subset."""
+    bases = [frozenset(b) for b in m.bases]
+    ranks = {}
+
+    def rank(s: frozenset) -> int:
+        if s not in ranks:
+            ranks[s] = max(len(s & b) for b in bases)
+        return ranks[s]
+
+    subsets = [
+        frozenset(s)
+        for size in range(m.n_elements + 1)
+        for s in itertools.combinations(m.elements, size)
+    ]
+    flats = {frozenset(e for e in m.elements if rank(s | {e}) == rank(s)) for s in subsets}
+    levels = [[] for _ in range(m.rank() + 1)]
+    for f in sorted(flats, key=lambda f: tuple(sorted(f))):
+        levels[rank(f)].append(f)
+    covers = {
+        f: tuple(g for g in levels[rk + 1] if f < g)
+        for rk, level in enumerate(levels[:-1])
+        for f in level
+    }
+    mobius = {}
+    for f in (f for level in levels for f in level):
+        mobius[f] = -sum(mu for g, mu in mobius.items() if g < f) if mobius else 1
+    return tuple(map(tuple, levels)), covers, mobius
+
+
+@pytest.mark.parametrize(
+    "m",
+    SUITE_MATROIDS
+    + [
+        triangle_with_pendant(),
+        Matroid.uniform(3, 7),
+        Matroid.from_graph(list(itertools.combinations(range(5), 2))),
+        Matroid.from_graph([(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
+    ],
+    ids=SUITE_IDS + ["fig1", "U(3,7)", "K5", "W5"],
+)
+def test_lattice_matches_combinations_reference(m):
+    levels, covers, mobius = _lattice_reference(m)
+    lat = m.lattice()
+    assert lat.flats_by_rank == levels
+    for f, above in covers.items():
+        assert lat.covers_above(f) == above
+    assert lat.mobius == mobius
 
 
 def test_flat_counts_frozen():
@@ -551,6 +712,15 @@ def test_chains_with_descent_set_examples():
         b3.chains_with_descent_set({0})
     with pytest.raises(KOutOfRange):
         b3.chains_with_descent_set({3})
+
+
+def test_chains_with_descent_set_rejects_non_int_positions():
+    # True is no name for position 1, even beside a genuine 1
+    fano = Matroid.fano()
+    for positions in ({True}, [1, True], [1.0], ["1"]):
+        with pytest.raises(KOutOfRange, match="outside 1..2"):
+            fano.chains_with_descent_set(positions)
+    assert fano.chains_with_descent_set(iter([1])) == 6
 
 
 def test_descent_counts_partition_all_chains(suite_matroid):
