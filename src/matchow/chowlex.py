@@ -22,7 +22,7 @@ FlagMonomial = Tuple[Flat, ...]
 def lex_expand_alpha(m: Matroid, mono: FlagMonomial) -> List[FlagMonomial]:
     """Append one flat: candidates contain top(mono) plus its least absentee."""
     top = mono[-1] if mono else frozenset()
-    e = min(set(m.elements) - top)
+    e = next(e for e in m.elements if e not in top)
     needed = top | {e}
     return [
         mono + (flat,)

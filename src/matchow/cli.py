@@ -109,42 +109,37 @@ def _emit(payload: dict, as_json: bool, lines: List[str]) -> None:
 def cmd_invariants(args) -> int:
     m, name = _load_matroid(args)
     lat = m.lattice()
-    char = m.char_poly()
+    rank = m.rank()
+    char = poly_q_str(m.char_poly())
+    flats = [len(level) for level in lat.flats_by_rank]
+    mobius = [sorted(lat.mobius[f] for f in level) for level in lat.flats_by_rank]
     lines = [
-        f"matroid: {name}  (n_elements={m.n_elements}, rank={m.rank()})",
-        "flats by rank: "
-        + ", ".join(
-            f"{rk}: {len(level)}" for rk, level in enumerate(lat.flats_by_rank)
-        ),
-        "moebius by rank: "
-        + "; ".join(
-            f"{rk}: {sorted(lat.mobius[f] for f in level)}"
-            for rk, level in enumerate(lat.flats_by_rank)
-        ),
-        f"char poly: {poly_q_str(char)}",
+        f"matroid: {name}  (n_elements={m.n_elements}, rank={rank})",
+        "flats by rank: " + ", ".join(f"{rk}: {count}" for rk, count in enumerate(flats)),
+        "moebius by rank: " + "; ".join(f"{rk}: {values}" for rk, values in enumerate(mobius)),
+        f"char poly: {char}",
     ]
     payload = {
         "matroid": name,
         "n_elements": m.n_elements,
-        "rank": m.rank(),
-        "flats_by_rank": [len(level) for level in lat.flats_by_rank],
-        "mobius_by_rank": [
-            sorted(lat.mobius[f] for f in level) for level in lat.flats_by_rank
-        ],
-        "char_poly": poly_q_str(char),
+        "rank": rank,
+        "flats_by_rank": flats,
+        "mobius_by_rank": mobius,
+        "char_poly": char,
     }
     if not m.is_loopless():
-        lines.append(f"loops: {sorted(m.loops())} (no reduced polynomial)")
-        payload["loops"] = sorted(m.loops())
-    elif m.rank() == 0:
+        loops = sorted(m.loops())
+        lines.append(f"loops: {loops} (no reduced polynomial)")
+        payload["loops"] = loops
+    elif rank == 0:
         lines.append("rank 0: chi(q) = 1 is not divisible by q - 1 (no reduced polynomial)")
     else:
-        reduced = m.reduced_char_poly()
-        mu = m.mu_vector()
-        lines.append(f"reduced char poly: {poly_q_str(reduced)}")
-        lines.append("mu vector: " + " ".join(str(v) for v in mu))
-        payload["reduced_char_poly"] = poly_q_str(reduced)
-        payload["mu"] = [str(v) for v in mu]
+        reduced = poly_q_str(m.reduced_char_poly())
+        mu = [str(v) for v in m.mu_vector()]
+        lines.append(f"reduced char poly: {reduced}")
+        lines.append("mu vector: " + " ".join(mu))
+        payload["reduced_char_poly"] = reduced
+        payload["mu"] = mu
     _emit(payload, args.json, lines)
     return 0
 
@@ -205,8 +200,10 @@ def cmd_crosscheck(args) -> int:
             + "  ".join(f"{row[c]:>8}" for c in columns)
             + f"  {verdict}"
         )
-    lines.append(f"mu vector: {' '.join(str(v) for v in m.mu_vector())}")
-    lines.append(f"reduced char poly: {poly_q_str(m.reduced_char_poly())}")
+    mu = [str(v) for v in m.mu_vector()]
+    reduced = poly_q_str(m.reduced_char_poly())
+    lines.append(f"mu vector: {' '.join(mu)}")
+    lines.append(f"reduced char poly: {reduced}")
     lines.append("PASS" if all_agree else "FAIL: methods disagree")
     payload = {
         "matroid": name,
@@ -215,8 +212,8 @@ def cmd_crosscheck(args) -> int:
         "oracles": list(ORACLES),
         "rows": rows,
         "char_poly": poly_q_str(m.char_poly()),
-        "reduced_char_poly": poly_q_str(m.reduced_char_poly()),
-        "mu": [str(v) for v in m.mu_vector()],
+        "reduced_char_poly": reduced,
+        "mu": mu,
         "pass": all_agree,
         "elapsed_ms": elapsed_ms,
     }
@@ -237,18 +234,13 @@ def cmd_balancing(args) -> int:
     for label, fan in checks:
         ok, certificate = is_balanced(fan)
         ok_all = ok_all and ok
+        cert = None if ok else [sorted(s) for s in certificate]
         if ok:
             lines.append(f"{label}: balanced ({len(fan.weights)} cones)")
         else:
-            cert = [sorted(s) for s in certificate]
             lines.append(f"{label}: NOT balanced, certificate cone {cert}")
         results.append(
-            {
-                "fan": label,
-                "balanced": ok,
-                "cones": len(fan.weights),
-                "certificate": None if ok else [sorted(s) for s in certificate],
-            }
+            {"fan": label, "balanced": ok, "cones": len(fan.weights), "certificate": cert}
         )
     lines.append("PASS" if ok_all else "FAIL")
     payload = {"matroid": name, "fans": results, "pass": ok_all}

@@ -136,15 +136,23 @@ def matroid_fan(m: Matroid) -> WeightedFan:
     return WeightedFan(m.n_elements, r, {f: 1 for f in flags})
 
 
+def _block_values(flag: FlagCone, point: Sequence) -> Optional[List]:
+    """The value of the point's full coordinates on each block of the flag,
+    in order, or None when they are not constant on some block."""
+    coords = full_coordinates(point)
+    blocks = [{coords[e] for e in block} for block in flag_parts(len(coords), flag)]
+    if any(len(values) != 1 for values in blocks):
+        return None
+    return [values.pop() for values in blocks]
+
+
 def in_rational_span(flag: FlagCone, point: Sequence) -> bool:
     """Whether a quotient point lies in the linear span of the flag's rays.
 
     With the all-ones line, the e_S for S in the flag span exactly the
     vectors that are constant on each block of the flag.
     """
-    coords = full_coordinates(point)
-    blocks = flag_parts(len(coords), flag)
-    return all(len({coords[e] for e in block}) == 1 for block in blocks)
+    return _block_values(flag, point) is not None
 
 
 def codim_one_stars(

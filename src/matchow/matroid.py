@@ -268,7 +268,7 @@ class Matroid:
     transpose over basis indices (see the module docstring).
     """
 
-    __slots__ = ("n_elements", "_masks", "_columns", "_rank_cache", "_lattice", "_char_poly")
+    __slots__ = ("n_elements", "_masks", "_columns", "_lattice", "_char_poly")
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
         if type(n_elements) is not int:
@@ -290,10 +290,10 @@ class Matroid:
         if len(sizes) != 1:
             raise ExchangeViolation(f"bases of unequal size: {sorted(sizes)}")
         self._masks: Tuple[int, ...] = tuple(sorted(set(masks)))
-        _check_exchange(self._masks)
+        columns = _check_exchange(self._masks)
         self.n_elements = n_elements
-        self._columns = _basis_columns(self._masks, n_elements)
-        self._rank_cache: Dict[int, int] = {}
+        # elements that no basis holds (loops) get empty columns
+        self._columns = columns + [0] * (n_elements - len(columns))
         self._lattice: FlatLattice | None = None
         self._char_poly: Tuple[int, ...] | None = None
 
@@ -379,11 +379,7 @@ class Matroid:
         if subset is None:
             return self._masks[0].bit_count()
         key = self._subset_mask(subset)
-        cached = self._rank_cache.get(key)
-        if cached is None:
-            cached = max((key & b).bit_count() for b in self._masks)
-            self._rank_cache[key] = cached
-        return cached
+        return max((key & b).bit_count() for b in self._masks)
 
     def closure(self, subset: Iterable[int]) -> Flat:
         return frozenset(_members(self._closure_mask(self._subset_mask(subset))))
@@ -590,9 +586,10 @@ class Matroid:
         return f"Matroid(n={self.n_elements}, rank={self.rank()}, bases={len(self._masks)})"
 
 
-def _check_exchange(masks: Tuple[int, ...]) -> None:
+def _check_exchange(masks: Tuple[int, ...]) -> list[int]:
     """For every ordered pair of bases B1, B2 and x in B1 - B2, some y in
-    B2 - B1 makes B1 - x + y a basis.
+    B2 - B1 makes B1 - x + y a basis; returns the basis columns it builds,
+    one per element up to the highest element some basis holds.
 
     With T = B1 - x, the ys outside B1 that make T + y a basis, together
     with x, are Y_T = {y : T + y is a basis}, which depends on T alone; in a
@@ -620,7 +617,7 @@ def _check_exchange(masks: Tuple[int, ...]) -> None:
         if met != every:
             missed[t] = every & ~met
     if not missed:
-        return
+        return columns
     for b1 in masks:
         for x in _members(b1):
             uncovered = missed.get(b1 ^ 1 << x)

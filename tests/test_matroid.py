@@ -207,13 +207,23 @@ def test_every_construction_checks_exchange_once(monkeypatch):
 
     def counting_check(masks):
         calls.append(masks)
-        real_check(masks)
+        return real_check(masks)
+
+    column_builds = []
+    real_columns = matroid_module._basis_columns
+
+    def counting_columns(masks, n_elements):
+        column_builds.append(masks)
+        return real_columns(masks, n_elements)
 
     monkeypatch.setattr(matroid_module, "_check_exchange", counting_check)
+    monkeypatch.setattr(matroid_module, "_basis_columns", counting_columns)
     for name, construct in constructions.items():
-        before = len(calls)
+        before, columns_before = len(calls), len(column_builds)
         construct()
         assert len(calls) == before + 1, name
+        # the exchange check hands its columns to the constructor
+        assert len(column_builds) == columns_before + 1, name
 
 
 def test_elements_out_of_range_rejected():
@@ -552,16 +562,22 @@ def test_char_poly_vanishes_at_one(suite_matroid):
     + [Matroid.from_graph([(0, 0), (0, 1), (1, 2), (2, 0)]), Matroid(4, [[1], [2]])],
     ids=SUITE_IDS + ["looped triangle", "two loops"],
 )
-def test_subset_sum_matches_brute_force(m):
+def test_subset_sum_matches_brute_force(m, monkeypatch):
     # on a matroid with loops the Moebius sum is skipped, so this is its only check
     r = m.rank()
     expected = [0] * (r + 1)
     for s in _subsets(m):
         expected[r - _rank_brute(m, s)] += (-1) ** len(s)
     fresh = Matroid(m.n_elements, m.bases)
-    assert fresh.char_poly() == tuple(expected)
     # the walk takes ranks from its own greedy subset, not from rank queries
-    assert not fresh._rank_cache
+    real_rank = Matroid.rank
+
+    def no_subset_rank(self, subset=None):
+        assert subset is None, f"rank query on {subset}"
+        return real_rank(self)
+
+    monkeypatch.setattr(Matroid, "rank", no_subset_rank)
+    assert fresh.char_poly() == tuple(expected)
 
 
 def test_reduced_char_poly_and_rendering(fig1):

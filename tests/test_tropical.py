@@ -23,11 +23,16 @@ from matchow import (
     pl_alpha,
     pl_beta,
     pl_linear,
+    triangle_with_pendant,
     truncation_weight,
 )
-from matchow.fan import WeightedFan, balancing_certificate
+from matchow.fan import WeightedFan, balancing_certificate, codim_one_stars
+from matchow.tropical import PLFunction
+
+from conftest import SUITE_IDS, SUITE_MATROIDS
 
 fs = frozenset
+K5 = Matroid.from_graph(list(itertools.combinations(range(5), 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +199,61 @@ def test_divisor_value_stable_under_representative_swap():
         first = f(u01) + f(e02)
         combined = tuple(x + y for x, y in zip(u01, e02))
         assert first - f(combined) == reference
+
+
+def _honest_point_divisor(f, w):
+    """Reference divisor sum f(w(sigma) e_S) - f(sum w(sigma) e_S), with f
+    evaluated at honest points.  With every weight >= 0 the sum lies in the
+    cone tau itself, where f is phi_tau, so this is the Allermann-Rau
+    divisor; with a negative weight it is not."""
+    n = w.n_elements
+    out = {}
+    for tau, star, combined in codim_one_stars(w):
+        value = sum(f([weight * x for x in e_image(n, extra)]) for extra, weight in star)
+        value -= f(combined)
+        if value != 0:
+            out[tau] = value
+    return WeightedFan(n, w.dim - 1, out)
+
+
+def _pl_functions(n):
+    return pl_alpha(n), pl_beta(n), pl_linear(n, {0: 1, n - 1: -1})
+
+
+@pytest.mark.parametrize(
+    "m", SUITE_MATROIDS + [triangle_with_pendant(), K5], ids=SUITE_IDS + ["fig1", "K5"]
+)
+def test_divisor_matches_honest_points_on_nonnegative_weights(m):
+    r = m.rank() - 1
+    fans = [matroid_fan(m)]
+    fans += [truncation_weight(m, r1, r2) for r1 in range(1, r + 1) for r2 in range(r1, r + 1)]
+    for fan in fans:
+        for f in _pl_functions(m.n_elements):
+            assert divisor(f, fan) == _honest_point_divisor(f, fan)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [Matroid.uniform(3, 4), Matroid.fano(), Matroid.boolean(4), complete_graph_k4()],
+    ids=["uniform(3,4)", "fano", "boolean(4)", "k4"],
+)
+def test_divisor_is_linear_in_negative_weights(m):
+    # scaling every weight by -3 scales every divisor by -3; on U(3,4) the
+    # honest-point formula gives alpha's weights a sum of 18 here, not -12
+    fan = matroid_fan(m)
+    scaled = WeightedFan(m.n_elements, fan.dim, {c: -3 * w for c, w in fan.weights.items()})
+    for f in _pl_functions(m.n_elements):
+        expected = {tau: -3 * v for tau, v in divisor(f, fan).weights.items()}
+        assert divisor(f, scaled).weights == expected
+
+
+def test_divisor_evaluates_f_once_per_ray():
+    points = []
+    alpha = pl_alpha(K5.n_elements)
+    counted = PLFunction(K5.n_elements, lambda x: points.append(x) or alpha.rule(x))
+    fan = matroid_fan(K5)
+    assert divisor(counted, fan) == divisor(alpha, fan)
+    assert len(set(points)) == len(points) <= len(K5.lattice().proper_nonempty_flats())
 
 
 # ---------------------------------------------------------------------------
