@@ -5,24 +5,38 @@ stored in quotient coordinates that pin the coordinate of element 0 to
 zero, so a point is a tuple of length n over the elements 1..n and the
 class of e_S maps to ([i in S] - [0 in S])_{i=1..n}.
 
-Cones of the braid fan are stored combinatorially as flags of proper
-nonempty subsets of E; the cone spanned by {e_S : S in flag} recovers the
-geometry.  A weighted fan is a dict from same-dimension flags to nonzero
-weights, stored as given: the matroid fan and every tropical divisor of it
-carry ints.  Balancing is tested by blocks, not by a linear solve: a
-point lies in the span of a flag's rays iff its full coordinates are
-constant on each block S_1, S_2 - S_1, ..., E - S_d of the flag.
+Cones of the braid fan are flags of proper nonempty subsets of E; the cone
+spanned by {e_S : S in flag} recovers the geometry.  Inside this module
+and `tropical` a subset is an int mask with bit e set for element e, and a
+flag is a tuple of masks: a weighted fan's `weights` is a dict from
+same-dimension mask flags to nonzero int weights, and the constructor
+checks each flag as a mask chain.  Frozensets appear only at the public
+edge: `WeightedFan.cones`, `weight` and `reweighted`, the balancing
+certificate, `flag_parts`, `in_rational_span` and `e_image`.
+
+Balancing is tested by gaps, not by a linear solve.  A point lies in the
+span of a flag tau = (F_1 < ... < F_d) iff its full coordinates are
+constant on each block F_i - F_(i-1), with F_0 empty and F_(d+1) = E.  A
+cone over tau adds one extra ray S, and S lies in one gap i of tau:
+F_(i-1) < S < F_i.  Then w * e_S adds w to every block below i, nothing
+above i, and is not constant only on block i.  So the weighted sum of the
+extra rays is constant on block j iff the extras in gap j alone are, say
+with value own_j, and its block values are c_j = own_j + sum_(i>j) W_i,
+where W_i is the total weight in gap i.  The walk over the faces records
+each extra with its gap, so it needs no point and no sort; faces are put
+in the canonical order of `flag_key` only once one has failed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import LoopPresent, RangeError, Unbalanced
-from .matroid import Matroid
+from .matroid import Chain, FlatLattice, Matroid, _mask, _members, _require_element
 
 Subset = FrozenSet[int]
 FlagCone = Tuple[Subset, ...]
+MaskFlag = Tuple[int, ...]
 
 
 def flag_key(flag: FlagCone):
@@ -30,11 +44,34 @@ def flag_key(flag: FlagCone):
     return tuple(tuple(sorted(s)) for s in flag)
 
 
+def _subset_mask(n_elements: int, subset: Iterable[int]) -> int:
+    """The mask of a subset of E; raises ValueError on a member that is not
+    an int in 0..n-1 (bools included)."""
+    mask = 0
+    for e in subset:
+        _require_element(e, n_elements)
+        mask |= 1 << e
+    return mask
+
+
+def _flag_masks(n_elements: int, flag: Iterable[Iterable[int]]) -> MaskFlag:
+    return tuple(_subset_mask(n_elements, s) for s in flag)
+
+
+def _flag_view(flag: MaskFlag) -> FlagCone:
+    return tuple(frozenset(_members(s)) for s in flag)
+
+
 def e_image(n_elements: int, subset: Iterable[int]) -> Tuple[int, ...]:
-    """Quotient coordinates of the indicator vector e_S."""
-    s = frozenset(subset)
-    base = 1 if 0 in s else 0
-    return tuple((1 if i in s else 0) - base for i in range(1, n_elements))
+    """Quotient coordinates of the indicator vector e_S; raises ValueError
+    unless every member of S is an int in 0..n-1."""
+    return mask_image(n_elements, _subset_mask(n_elements, subset))
+
+
+def mask_image(n_elements: int, mask: int) -> Tuple[int, ...]:
+    """Quotient coordinates of e_S for S given as a mask."""
+    base = mask & 1
+    return tuple((mask >> i & 1) - base for i in range(1, n_elements))
 
 
 def full_coordinates(point: Sequence) -> tuple:
@@ -74,8 +111,32 @@ def braid_cone_of(n_elements: int, point: Sequence) -> FlagCone:
     return tuple(flag)
 
 
+def _checked(n_elements: int, dim: int, weights: Mapping[MaskFlag, int]) -> Dict[MaskFlag, int]:
+    """The nonzero weights, once every flag is a strict chain of `dim`
+    proper nonempty masks: one prev & ~s test per member."""
+    full = (1 << n_elements) - 1
+    clean: Dict[MaskFlag, int] = {}
+    for flag, w in weights.items():
+        if len(flag) != dim:
+            raise ValueError(f"cone {_flag_view(flag)} has dimension {len(flag)}, expected {dim}")
+        prev = 0
+        for s in (*flag, full):
+            if prev & ~s or prev == s:
+                flag_text = [list(_members(t)) for t in flag]
+                raise ValueError(
+                    f"flag {flag_text} is not a strict chain of proper nonempty subsets"
+                )
+            prev = s
+        if w != 0:
+            clean[flag] = w
+    return clean
+
+
 class WeightedFan:
-    """A pure-dimensional weighted subfan of the braid fan."""
+    """A pure-dimensional weighted subfan of the braid fan.
+
+    The constructor takes flags of subsets of E; `weights` holds them as
+    mask flags (see the module docstring)."""
 
     __slots__ = ("n_elements", "dim", "weights")
 
@@ -83,31 +144,36 @@ class WeightedFan:
         self,
         n_elements: int,
         dim: int,
-        weights: Dict[FlagCone, int],
+        weights: Mapping[Sequence[Iterable[int]], int],
     ):
-        clean: Dict[FlagCone, int] = {}
-        for flag, w in weights.items():
-            flag = tuple(frozenset(s) for s in flag)
-            if len(flag) != dim:
-                raise ValueError(f"cone {flag} has dimension {len(flag)}, expected {dim}")
-            flag_parts(n_elements, flag)
-            if w != 0:
-                clean[flag] = w
+        masks = {_flag_masks(n_elements, flag): w for flag, w in weights.items()}
         self.n_elements = n_elements
         self.dim = dim
-        self.weights = clean
+        self.weights = _checked(n_elements, dim, masks)
+
+    @classmethod
+    def _from_masks(cls, n_elements: int, dim: int, weights: Mapping[MaskFlag, int]):
+        fan = cls.__new__(cls)
+        fan.n_elements = n_elements
+        fan.dim = dim
+        fan.weights = _checked(n_elements, dim, weights)
+        return fan
 
     def cones(self) -> list[FlagCone]:
-        return sorted(self.weights, key=flag_key)
+        """The cones as flags of frozensets, in the canonical order of `flag_key`."""
+        members = {s: _members(s) for s in {s for flag in self.weights for s in flag}}
+        views = {s: frozenset(elements) for s, elements in members.items()}
+        order = sorted(self.weights, key=lambda flag: tuple(map(members.__getitem__, flag)))
+        return [tuple(map(views.__getitem__, flag)) for flag in order]
 
     def weight(self, flag: FlagCone) -> int:
-        return self.weights.get(tuple(frozenset(s) for s in flag), 0)
+        return self.weights.get(_flag_masks(self.n_elements, flag), 0)
 
     def reweighted(self, flag: FlagCone, w) -> "WeightedFan":
         """Copy with one cone's weight replaced (used to build counterexamples)."""
         weights = dict(self.weights)
-        weights[tuple(frozenset(s) for s in flag)] = w
-        return WeightedFan(self.n_elements, self.dim, weights)
+        weights[_flag_masks(self.n_elements, flag)] = w
+        return WeightedFan._from_masks(self.n_elements, self.dim, weights)
 
     def __eq__(self, other):
         if not isinstance(other, WeightedFan):
@@ -125,6 +191,13 @@ class WeightedFan:
         )
 
 
+def lattice_flags(lattice: FlatLattice, lo: int, hi: int) -> Iterator[Tuple[Chain, MaskFlag]]:
+    """Each saturated chain of `lattice.chains(lo, hi)` with its mask flag."""
+    masks = {f: _mask(f) for f in lattice.proper_nonempty_flats()}
+    for chain in lattice.chains(lo, hi):
+        yield chain, tuple(masks[f] for f in chain)
+
+
 def matroid_fan(m: Matroid) -> WeightedFan:
     """Unit weights on the complete flags of proper nonempty flats."""
     if not m.is_loopless():
@@ -132,18 +205,8 @@ def matroid_fan(m: Matroid) -> WeightedFan:
     r = m.rank() - 1
     if r < 0:
         raise RangeError("a rank-0 matroid has no matroid fan (its dimension would be -1)")
-    flags = m.lattice().chains(1, r)
-    return WeightedFan(m.n_elements, r, {f: 1 for f in flags})
-
-
-def _block_values(flag: FlagCone, point: Sequence) -> Optional[List]:
-    """The value of the point's full coordinates on each block of the flag,
-    in order, or None when they are not constant on some block."""
-    coords = full_coordinates(point)
-    blocks = [{coords[e] for e in block} for block in flag_parts(len(coords), flag)]
-    if any(len(values) != 1 for values in blocks):
-        return None
-    return [values.pop() for values in blocks]
+    flags = {flag: 1 for _, flag in lattice_flags(m.lattice(), 1, r)}
+    return WeightedFan._from_masks(m.n_elements, r, flags)
 
 
 def in_rational_span(flag: FlagCone, point: Sequence) -> bool:
@@ -152,39 +215,81 @@ def in_rational_span(flag: FlagCone, point: Sequence) -> bool:
     With the all-ones line, the e_S for S in the flag span exactly the
     vectors that are constant on each block of the flag.
     """
-    return _block_values(flag, point) is not None
+    coords = full_coordinates(point)
+    return all(
+        len({coords[e] for e in block}) == 1 for block in flag_parts(len(coords), flag)
+    )
 
 
-def codim_one_stars(
-    fan: WeightedFan,
-) -> list[Tuple[FlagCone, list[Tuple[Subset, int]], Tuple[int, ...]]]:
-    """Every codimension-one face tau in canonical order, with the extra ray
-    and weight of each cone of the fan that contains it, and the weighted
-    sum of those extra rays in quotient coordinates."""
-    n = fan.n_elements
-    stars: Dict[FlagCone, list] = {}
+def face_stars(fan: WeightedFan) -> Dict[Tuple[MaskFlag, int], List[Tuple[int, int]]]:
+    """Every codimension-one face tau of the fan, keyed with each occupied
+    gap i of tau, holding the extra ray and weight of each cone over tau
+    whose extra lies in that gap.  Dropping member i (from 0) of a cone
+    leaves tau with the extra between tau[i-1] and tau[i]: that is gap i."""
+    stars: Dict[Tuple[MaskFlag, int], List[Tuple[int, int]]] = {}
     for sigma, w in fan.weights.items():
         for i, extra in enumerate(sigma):
-            stars.setdefault(sigma[:i] + sigma[i + 1 :], []).append((extra, w))
-    out = []
-    for tau in sorted(stars, key=flag_key):
-        # Full coordinates of the sum of w * e_S add w to each member of S;
-        # pinning element 0 to zero turns them into quotient coordinates.
-        full = [0] * n
-        for extra, w in stars[tau]:
-            for e in extra:
-                full[e] += w
-        out.append((tau, stars[tau], tuple(x - full[0] for x in full[1:])))
-    return out
+            key = (sigma[:i] + sigma[i + 1 :], i)
+            extras = stars.get(key)
+            if extras is None:
+                stars[key] = [(extra, w)]
+            else:
+                extras.append((extra, w))
+    return stars
+
+
+def gap_bounds(n_elements: int, tau: MaskFlag, gap: int) -> Tuple[int, int]:
+    """The masks tau[i-1] < tau[i] around gap i of tau, with the empty set
+    below the first member and E above the last."""
+    lo = tau[gap - 1] if gap else 0
+    hi = tau[gap] if gap < len(tau) else (1 << n_elements) - 1
+    return lo, hi
+
+
+def gap_value(lo: int, hi: int, extras: List[Tuple[int, int]]) -> Optional[int]:
+    """The constant value (own, in the module docstring) of sum w * [e in S]
+    over e in the block hi - lo, for the (S, w) of one gap, or None when it
+    is not constant.  Every S holds lo and lies in hi, so S - lo is all that
+    S adds to the block."""
+    block = hi ^ lo
+    value = extras[0][1]
+    covered = 0
+    for s, w in extras:
+        part = s ^ lo
+        if covered & part or w != value:
+            break
+        covered |= part
+    else:
+        # disjoint parts of one weight: constant iff they cover the block
+        return value if covered == block else None
+    value = None
+    rest = block
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        v = sum(w for s, w in extras if s & bit)
+        if value is None:
+            value = v
+        elif v != value:
+            return None
+    return value
+
+
+def first_face(faces: Iterable[MaskFlag]) -> FlagCone:
+    """The first of some faces in the canonical order of `flag_key`."""
+    return min((_flag_view(tau) for tau in faces), key=flag_key)
 
 
 def balancing_certificate(fan: WeightedFan) -> Optional[FlagCone]:
     """First codimension-one face, in canonical order, whose weighted sum of
     extra rays leaves its span; None when the fan is balanced."""
-    for tau, _, total in codim_one_stars(fan):
-        if not in_rational_span(tau, total):
-            return tau
-    return None
+    n = fan.n_elements
+    failed = {
+        tau
+        for (tau, gap), extras in face_stars(fan).items()
+        if gap_value(*gap_bounds(n, tau, gap), extras) is None
+    }
+    return first_face(failed) if failed else None
 
 
 def is_balanced(fan: WeightedFan) -> Tuple[bool, Optional[FlagCone]]:

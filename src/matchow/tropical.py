@@ -14,12 +14,22 @@ Balancing puts the sum v in the span of tau = (F_1 < ... < F_d), that is,
 its full coordinates take one value c_i on each block F_i - F_(i-1), with
 F_0 empty and F_(d+1) = E.  Then v = sum_(i<=d) (c_i - c_(i+1)) e_(F_i)
 modulo the all-ones line, so phi_tau(v) = sum_(i<=d) (c_i - c_(i+1))
-f(e_(F_i)) needs only rays too.  The block read is the balancing test, so
-the divisor checks that w is balanced in the same walk over the faces.
-The divisor is linear in w, negative weights included, and f is evaluated
-once per distinct ray in a call.  The matroid fan has unit weights and
-the functions take integer values on the rays, so every weight stays an
-int.
+f(e_(F_i)) needs only rays too.  The block values come from gap totals,
+not from v: each extra S lies in one gap F_(i-1) < S < F_i of tau, adds
+its weight to every block below i and can be non-constant only on block
+i, so c_j = own_j + sum_(i>j) W_i, where own_j is the constant the gap-j
+extras take on block j and W_i the total weight in gap i (see `fan`).
+Then c_j - c_(j+1) = own_j - own_(j+1) + W_(j+1), and regrouping the sum
+by gaps gives phi_tau(v) = sum over occupied gaps i of
+(W_i - own_i) f(e_(F_(i-1))) + own_i f(e_(F_i)), with f(e_(F_0)) and
+f(e_(F_(d+1))) read as 0.  So each gap adds sum_S w (f(e_S) - f(e_(F_(i-1))))
+- own_i (f(e_(F_i)) - f(e_(F_(i-1)))) to the divisor on tau.  The constancy
+test on each gap is the balancing test, so the divisor checks that w is
+balanced in the same walk over the faces, `fan.face_stars`, that
+`is_balanced` runs.  Faces and rays are int masks throughout.  The divisor
+is linear in w, negative weights included, and f is evaluated once per
+distinct ray mask in a call.  The matroid fan has unit weights and the
+functions take integer values on the rays, so every weight stays an int.
 
 Iterating the two tropical hyperplane classes walks the rank window of the
 truncation weights down to a number: beta trims the window from below,
@@ -34,12 +44,15 @@ from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from .errors import LoopPresent, RangeError, Unbalanced
 from .fan import (
-    FlagCone,
+    MaskFlag,
     WeightedFan,
-    _block_values,
-    codim_one_stars,
-    e_image,
+    face_stars,
+    first_face,
     full_coordinates,
+    gap_bounds,
+    gap_value,
+    lattice_flags,
+    mask_image,
     matroid_fan,
     require_balanced,  # unused here; bench/spans.py wraps it in this namespace
 )
@@ -96,17 +109,24 @@ def divisor(f: PLFunction, w: WeightedFan) -> WeightedFan:
     if w.dim == 0:
         raise ValueError("cannot take the divisor of a 0-dimensional weight")
     n = w.n_elements
-    at_ray = functools.cache(lambda s: f(e_image(n, s)))
-    out: Dict[FlagCone, int] = {}
-    for tau, star, combined in codim_one_stars(w):
-        blocks = _block_values(tau, combined)
-        if blocks is None:
-            raise Unbalanced(tau)
-        value = sum(weight * at_ray(extra) for extra, weight in star)
-        value -= sum((c - c_next) * at_ray(s) for s, c, c_next in zip(tau, blocks, blocks[1:]))
-        if value != 0:
-            out[tau] = value
-    return WeightedFan(n, w.dim - 1, out)
+    full = (1 << n) - 1
+    at_ray = functools.cache(lambda s: f(mask_image(n, s)) if 0 < s < full else 0)
+    out: Dict[MaskFlag, int] = {}
+    failed = set()
+    for (tau, gap), extras in face_stars(w).items():
+        lo, hi = gap_bounds(n, tau, gap)
+        own = gap_value(lo, hi, extras)
+        if own is None:
+            failed.add(tau)
+            continue
+        f_lo = at_ray(lo)
+        value = out.get(tau, 0) - own * (at_ray(hi) - f_lo)
+        for s, weight in extras:
+            value += weight * (at_ray(s) - f_lo)
+        out[tau] = value
+    if failed:
+        raise Unbalanced(first_face(failed))
+    return WeightedFan._from_masks(n, w.dim - 1, {tau: v for tau, v in out.items() if v})
 
 
 def truncation_weight(m: Matroid, r1: int, r2: int) -> WeightedFan:
@@ -119,8 +139,8 @@ def truncation_weight(m: Matroid, r1: int, r2: int) -> WeightedFan:
     if not (1 <= r1 <= r2 <= r):
         raise RangeError(f"rank window [{r1}, {r2}] outside 1 <= r1 <= r2 <= {r}")
     lat = m.lattice()
-    weights = {flag: abs(lat.mobius[flag[0]]) for flag in lat.chains(r1, r2)}
-    return WeightedFan(m.n_elements, r2 - r1 + 1, weights)
+    weights = {flag: abs(lat.mobius[chain[0]]) for chain, flag in lattice_flags(lat, r1, r2)}
+    return WeightedFan._from_masks(m.n_elements, r2 - r1 + 1, weights)
 
 
 def deg_tropical(m: Matroid, k: int) -> int:

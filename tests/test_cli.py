@@ -179,14 +179,14 @@ def test_balancing_builtin_k4(capsys):
 
 def test_balancing_walks_each_fan_once(capsys, monkeypatch):
     # k4 has the matroid fan and three truncation windows
-    real = fan_mod.codim_one_stars
+    real = fan_mod.face_stars
     calls = []
 
     def counting(fan):
         calls.append(fan)
         return real(fan)
 
-    monkeypatch.setattr(fan_mod, "codim_one_stars", counting)
+    monkeypatch.setattr(fan_mod, "face_stars", counting)
     code, out, _ = run(capsys, "balancing", "--builtin", "k4")
     assert code == 0
     assert out.rstrip().endswith("PASS")

@@ -23,14 +23,23 @@ from matchow import (
     matroid_fan,
     truncation_weight,
 )
-from matchow.exact import lattice_index, solve_linear
+from matchow.exact import lattice_index
 from matchow.fan import (
     WeightedFan,
     balancing_certificate,
-    codim_one_stars,
+    face_stars,
     flag_parts,
+    gap_value,
     in_rational_span,
     require_balanced,
+)
+
+from fan_reference import (
+    codim_one_stars,
+    reference_certificate,
+    signed_skeleton_fans,
+    span_reference,
+    walked_stars,
 )
 
 
@@ -46,6 +55,13 @@ def test_e_image_examples():
     assert e_image(3, {1, 2}) == (1, 1)
     # the full ground set maps to the origin of the quotient
     assert e_image(3, {0, 1, 2}) == (0, 0)
+
+
+def test_e_image_rejects_non_elements():
+    # 5 and -1 used to map to the origin, and True to e_{1}
+    for subset in ({5}, {-1}, {1, 3}, {True}, {False}, {1.0}, {"1"}):
+        with pytest.raises(ValueError):
+            e_image(3, subset)
 
 
 def test_full_coordinates_pins_element_zero():
@@ -186,7 +202,8 @@ def test_zero_dimensional_fan_trivially_balanced():
 
 
 def test_codim_one_stars_of_boolean3():
-    stars = codim_one_stars(matroid_fan(Matroid.boolean(3)))
+    fan = matroid_fan(Matroid.boolean(3))
+    stars = codim_one_stars(fan)
     assert [tau for tau, _, _ in stars] == [
         (frozenset({0}),),
         (frozenset({0, 1}),),
@@ -206,6 +223,13 @@ def test_codim_one_stars_of_boolean3():
         for extra, w in star:
             expected = [x + w * v for x, v in zip(expected, e_image(3, extra))]
         assert total == tuple(expected)
+    # the mask walk finds the same stars; the ray {0} is the face (0b001,)
+    # and both of its extras lie above it, in gap 1
+    walked = face_stars(fan)
+    assert sorted(walked[(0b001,), 1]) == [(0b011, 1), (0b101, 1)]
+    assert walked_stars(fan) == {
+        tau: sorted((tuple(sorted(extra)), w) for extra, w in star) for tau, star, _ in stars
+    }
 
 
 def test_in_rational_span():
@@ -224,15 +248,6 @@ def test_in_rational_span():
         in_rational_span((fs({1}), fs({1})), (0, 0))
 
 
-def _span_reference(flag, point) -> bool:
-    """The span test as a rational linear system in the flag's rays."""
-    n = len(point) + 1
-    rays = [e_image(n, s) for s in flag]
-    matrix = [[Fraction(ray[i]) for ray in rays] for i in range(n - 1)]
-    status, _ = solve_linear(matrix, [Fraction(x) for x in point])
-    return status != "inconsistent"
-
-
 def test_in_rational_span_matches_linear_solve(suite_matroid):
     rng = random.Random(53)
     m = suite_matroid
@@ -248,9 +263,60 @@ def test_in_rational_span_matches_linear_solve(suite_matroid):
             ]
             for point in points:
                 verdict = in_rational_span(tau, point)
-                assert verdict == _span_reference(tau, point)
+                assert verdict == span_reference(tau, point)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# faces whose extras lie in several gaps: skeleta of the braid fan
+# ---------------------------------------------------------------------------
+
+
+def test_two_gap_face_by_hand():
+    # tau = ({0, 1},) on four elements: {0} and {1} fill gap 0 below it,
+    # {0, 1, 2} and {0, 1, 3} fill gap 1 above it
+    fs = frozenset
+    tau = (fs({0, 1}),)
+    cones = [(fs({0}), fs({0, 1})), (fs({1}), fs({0, 1})),
+             (fs({0, 1}), fs({0, 1, 2})), (fs({0, 1}), fs({0, 1, 3}))]
+    fan = WeightedFan(4, 2, {cone: 1 for cone in cones})
+    stars = face_stars(fan)
+    assert sorted(stars[(0b0011,), 0]) == [(0b0001, 1), (0b0010, 1)]
+    assert sorted(stars[(0b0011,), 1]) == [(0b0111, 1), (0b1011, 1)]
+    # each gap's extras are constant on their own block
+    assert gap_value(0, 0b0011, stars[(0b0011,), 0]) == 1
+    assert gap_value(0b0011, 0b1111, stars[(0b0011,), 1]) == 1
+    # doubling one cone above breaks gap 1 only, and the span solve agrees
+    bad = fan.reweighted(cones[3], 2)
+    bad_stars = face_stars(bad)
+    assert gap_value(0, 0b0011, bad_stars[(0b0011,), 0]) == 1
+    assert gap_value(0b0011, 0b1111, bad_stars[(0b0011,), 1]) is None
+    for fan_, balances in ((fan, True), (bad, False)):
+        total = next(total for face, _, total in codim_one_stars(fan_) if face == tau)
+        assert span_reference(tau, total) is balances
+        # the rays below tau lie in one cone each, so both fans fail first there
+        assert balancing_certificate(fan_) == reference_certificate(fan_) == (fs({0}),)
+
+
+def test_signed_skeleton_fans_match_the_reference():
+    verdicts = set()
+    multi_gap = False
+    for n, dim in ((n, dim) for n in (3, 4, 5) for dim in range(1, n)):
+        for seed in range(3):
+            for fan in signed_skeleton_fans(n, dim, seed):
+                certificate = balancing_certificate(fan)
+                assert certificate == reference_certificate(fan)
+                assert is_balanced(fan) == (certificate is None, certificate)
+                verdicts.add(certificate is None)
+                assert walked_stars(fan) == {
+                    tau: sorted((tuple(sorted(extra)), w) for extra, w in star)
+                    for tau, star, _ in codim_one_stars(fan)
+                }
+                faces = [tau for tau, _ in face_stars(fan)]
+                multi_gap = multi_gap or len(faces) > len(set(faces))
+    assert verdicts == {True, False}
+    assert multi_gap
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -309,7 +375,7 @@ def test_alpha_beta_fan_shapes():
             ):
                 assert fan.dim == n - 1 - codim
                 assert len(fan.weights) == math.factorial(n) // math.factorial(codim + 1)
-                assert all([len(s) for s in flag] == sizes for flag in fan.weights)
+                assert all([len(s) for s in flag] == sizes for flag in fan.cones())
                 assert set(fan.weights.values()) == {1}
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -26,10 +27,18 @@ from matchow import (
     triangle_with_pendant,
     truncation_weight,
 )
-from matchow.fan import WeightedFan, balancing_certificate, codim_one_stars
+import matchow.cli as cli
+import matchow.fan as fan_mod
+from matchow.fan import WeightedFan, balancing_certificate
 from matchow.tropical import PLFunction
 
 from conftest import SUITE_IDS, SUITE_MATROIDS
+from fan_reference import (
+    codim_one_stars,
+    reference_certificate,
+    reference_divisor,
+    signed_skeleton_fans,
+)
 
 fs = frozenset
 K5 = Matroid.from_graph(list(itertools.combinations(range(5), 2)))
@@ -182,23 +191,27 @@ def test_divisor_input_validation():
         divisor(pl_alpha(3), zero_dim)
 
 
-def test_divisor_value_stable_under_representative_swap():
-    # replicate the divisor formula at tau = ray through e_{0} on the
-    # boolean(3) fan, shifting the e_{01} representative by lattice vectors
-    # of the span of tau; the value must not move
-    b3fan = matroid_fan(Matroid.boolean(3))
-    f = pl_alpha(3)
-    tau = (fs({0}),)
-    reference = divisor(f, b3fan).weight(tau)
-    assert reference == 1
-    e01 = e_image(3, {0, 1})
-    e02 = e_image(3, {0, 2})
-    e0 = e_image(3, {0})
-    for t in (-1, 0, 1, 2):
-        u01 = tuple(x + t * y for x, y in zip(e01, e0))
-        first = f(u01) + f(e02)
-        combined = tuple(x + y for x, y in zip(u01, e02))
-        assert first - f(combined) == reference
+def _windows(m):
+    """The matroid fan and every truncation window of m."""
+    r = m.rank() - 1
+    fans = [matroid_fan(m)]
+    return fans + [truncation_weight(m, r1, r2) for r1 in range(1, r + 1) for r2 in range(r1, r + 1)]
+
+
+def test_divisor_unchanged_by_adding_a_linear_function():
+    # phi_tau of f + l is phi_tau of f plus l, so adding a linear l leaves
+    # every divisor weight where it was; the divisor of l alone is empty
+    signed, _ = signed_skeleton_fans(4, 2, seed=1)
+    assert min(signed.weights.values()) < 0 < max(signed.weights.values())
+    fans = [fan for m in SUITE_MATROIDS for fan in _windows(m)] + [signed]
+    for fan in fans:
+        n = fan.n_elements
+        for coeffs in ({0: 1, n - 1: -1}, {0: 2, 1: -3, n - 1: 1}):
+            linear = pl_linear(n, coeffs)
+            assert divisor(linear, fan).weights == {}
+            for f in (pl_alpha(n), pl_beta(n)):
+                shifted = PLFunction(n, lambda x, f=f: f.rule(x) + linear.rule(x))
+                assert divisor(shifted, fan) == divisor(f, fan)
 
 
 def _honest_point_divisor(f, w):
@@ -241,10 +254,43 @@ def test_divisor_is_linear_in_negative_weights(m):
     # scaling every weight by -3 scales every divisor by -3; on U(3,4) the
     # honest-point formula gives alpha's weights a sum of 18 here, not -12
     fan = matroid_fan(m)
-    scaled = WeightedFan(m.n_elements, fan.dim, {c: -3 * w for c, w in fan.weights.items()})
+    scaled = WeightedFan(m.n_elements, fan.dim, {c: -3 * fan.weight(c) for c in fan.cones()})
     for f in _pl_functions(m.n_elements):
         expected = {tau: -3 * v for tau, v in divisor(f, fan).weights.items()}
         assert divisor(f, scaled).weights == expected
+
+
+@pytest.mark.parametrize(
+    "m", SUITE_MATROIDS + [triangle_with_pendant(), K5], ids=SUITE_IDS + ["fig1", "K5"]
+)
+def test_divisor_steps_match_the_reference(m):
+    # every fan that deg_tropical walks through, for every k, step by step
+    r = m.rank() - 1
+    n = m.n_elements
+    for k in range(r + 1):
+        w = matroid_fan(m)
+        for f in [pl_beta(n)] * k + [pl_alpha(n)] * (r - k):
+            step = divisor(f, w)
+            assert step == reference_divisor(f, w)
+            w = step
+        assert w.weight(()) == m.mu(k)
+
+
+def test_divisor_matches_the_reference_on_signed_skeleta():
+    verdicts = set()
+    for n, dim in ((n, dim) for n in (3, 4, 5) for dim in range(1, n)):
+        for seed in range(2):
+            for fan in signed_skeleton_fans(n, dim, seed):
+                certificate = reference_certificate(fan)
+                verdicts.add(certificate is None)
+                for f in _pl_functions(n):
+                    if certificate is None:
+                        assert divisor(f, fan) == reference_divisor(f, fan)
+                    else:
+                        with pytest.raises(Unbalanced) as exc_info:
+                            divisor(f, fan)
+                        assert exc_info.value.certificate == certificate
+    assert verdicts == {True, False}
 
 
 def test_divisor_evaluates_f_once_per_ray():
@@ -254,6 +300,37 @@ def test_divisor_evaluates_f_once_per_ray():
     fan = matroid_fan(K5)
     assert divisor(counted, fan) == divisor(alpha, fan)
     assert len(set(points)) == len(points) <= len(K5.lattice().proper_nonempty_flats())
+
+
+def test_tropical_and_balancing_stay_on_masks(tmp_path, monkeypatch, capsys):
+    # deg_tropical and the balancing command walk int-mask flags: neither
+    # builds frozenset blocks nor sorts faces, and divisor reads f once per ray
+    calls = {"flag_parts": 0, "flag_key": 0}
+    for name in calls:
+        real = getattr(fan_mod, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(fan_mod, name, counted)
+    for k in range(K5.rank()):
+        assert deg_tropical(K5, k) == K5.mu(k)
+    graph = tmp_path / "k5.json"
+    graph.write_text(json.dumps({"edges": list(itertools.combinations(range(5), 2))}))
+    assert cli.main(["balancing", "--graph", str(graph)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
+    assert calls == {"flag_parts": 0, "flag_key": 0}
+    n = K5.n_elements
+    for base in (pl_alpha(n), pl_beta(n)):
+        rays = []
+        counted_f = PLFunction(n, lambda x, base=base: rays.append(x) or base.rule(x))
+        w = matroid_fan(K5)
+        while w.dim:
+            rays.clear()
+            w = divisor(counted_f, w)
+            assert len(rays) == len(set(rays))
+    assert calls == {"flag_parts": 0, "flag_key": 0}
 
 
 # ---------------------------------------------------------------------------
