@@ -9,8 +9,8 @@ Cones of the braid fan are flags of proper nonempty subsets of E; the cone
 spanned by {e_S : S in flag} recovers the geometry.  Inside this module
 and `tropical` a subset is an int mask with bit e set for element e, and a
 flag is a tuple of masks: a weighted fan's `weights` is a dict from
-same-dimension mask flags to nonzero int weights, and the constructor
-checks each flag as a mask chain.  Frozensets appear only at the public
+same-dimension mask flags to nonzero weights (ints on the matroid fan and
+its divisors), and the constructor checks each flag as a mask chain.  Frozensets appear only at the public
 edge: `WeightedFan.cones`, `weight` and `reweighted`, the balancing
 certificate, `flag_parts`, `in_rational_span` and `e_image`.
 

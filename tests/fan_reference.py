@@ -71,6 +71,7 @@ def span_reference(flag, point) -> bool:
 
 
 def reference_certificate(fan: WeightedFan):
+    """The first face in canonical order whose sum leaves its span, or None."""
     for tau, _, total in codim_one_stars(fan):
         if not span_reference(tau, total):
             return tau

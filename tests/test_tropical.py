@@ -42,6 +42,7 @@ from fan_reference import (
 
 fs = frozenset
 K5 = Matroid.from_graph(list(itertools.combinations(range(5), 2)))
+DOMINO = Matroid.from_graph([(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,9 @@ def test_divisor_is_linear_in_negative_weights(m):
 
 
 @pytest.mark.parametrize(
-    "m", SUITE_MATROIDS + [triangle_with_pendant(), K5], ids=SUITE_IDS + ["fig1", "K5"]
+    "m",
+    SUITE_MATROIDS + [triangle_with_pendant(), K5, Matroid.uniform(4, 9), DOMINO],
+    ids=SUITE_IDS + ["fig1", "K5", "uniform(4,9)", "domino"],
 )
 def test_divisor_steps_match_the_reference(m):
     # every fan that deg_tropical walks through, for every k, step by step
