@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import LoopPresent, RangeError, Unbalanced
-from .matroid import Chain, FlatLattice, Matroid, _mask, _members, _require_element
+from .matroid import Chain, FlatLattice, Matroid, _members, _require_element
 
 Subset = FrozenSet[int]
 FlagCone = Tuple[Subset, ...]
@@ -193,7 +193,7 @@ class WeightedFan:
 
 def lattice_flags(lattice: FlatLattice, lo: int, hi: int) -> Iterator[Tuple[Chain, MaskFlag]]:
     """Each saturated chain of `lattice.chains(lo, hi)` with its mask flag."""
-    masks = {f: _mask(f) for f in lattice.proper_nonempty_flats()}
+    masks = dict(zip(lattice.proper_nonempty_flats(), lattice.proper_nonempty_masks()))
     for chain in lattice.chains(lo, hi):
         yield chain, tuple(masks[f] for f in chain)
 

@@ -161,7 +161,9 @@ class FlatLattice:
     where the flats below F are gathered along the cover relation, not by
     testing every earlier flat.  The public views are frozensets, and each
     level is sorted by its flats' sorted element tuples, the order that
-    flags, cones and the lex expansion follow.
+    flags, cones and the lex expansion follow.  The masks of the proper
+    flats are kept in that order too, for the mask kernels of lex and the
+    fans.
     """
 
     def __init__(self, matroid: "Matroid"):
@@ -212,6 +214,9 @@ class FlatLattice:
         self._proper: Tuple[Flat, ...] = tuple(
             f for level in self.flats_by_rank[1:-1] for f in level
         )
+        self._proper_masks: Tuple[int, ...] = tuple(
+            f for level in levels[1:-1] for f in level
+        )
 
     def flats(self) -> Iterator[Flat]:
         for level in self.flats_by_rank:
@@ -220,6 +225,10 @@ class FlatLattice:
     def proper_nonempty_flats(self) -> Tuple[Flat, ...]:
         """Flats other than the bottom and the full ground set, by rank."""
         return self._proper
+
+    def proper_nonempty_masks(self) -> Tuple[int, ...]:
+        """The int masks of `proper_nonempty_flats()`, in the same order."""
+        return self._proper_masks
 
     def covers_above(self, flat: Flat) -> Tuple[Flat, ...]:
         return self._covers_above.get(flat, ())
@@ -487,6 +496,8 @@ class Matroid:
         if not self.is_loopless():
             raise LoopPresent("degree needs a loopless matroid")
         r = self.rank() - 1
+        if r < 0:
+            raise KOutOfRange("a rank-0 matroid has no degrees (r = rank - 1 = -1)")
         if type(k) is not int or not 0 <= k <= r:
             raise KOutOfRange(f"k={k!r} outside 0..{r}")
         return r

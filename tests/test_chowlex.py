@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
-from matchow import KOutOfRange, LoopPresent, Matroid, deg_lex
+from matchow import KOutOfRange, LoopPresent, Matroid, deg_lex, triangle_with_pendant
 from matchow.chowlex import lex_expand_alpha, lex_expand_beta, surviving_flags
-from matchow.matroid import descent_set, jordan_holder_word
+from matchow.matroid import FlatLattice, descent_set, jordan_holder_word
+
+from conftest import SUITE, SUITE_MATROIDS, relabel
 
 fs = frozenset
+
+
+def complete_graph(n: int) -> Matroid:
+    return Matroid.from_graph(list(itertools.combinations(range(n), 2)))
+
+
+K5 = complete_graph(5)
+W5 = Matroid.from_graph([(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+DOMINO = Matroid.from_graph([(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
 
 
 def test_alpha_expansion_from_empty():
@@ -96,3 +110,88 @@ def test_deg_lex_guards():
 
 def test_fig1_deg_vector(fig1):
     assert [deg_lex(fig1, k) for k in range(3)] == [1, 3, 2]
+
+
+def _reference_flags(m: Matroid, k: int) -> list:
+    """The frozenset all-flats scan: every monomial of a layer is tested
+    against every proper flat, in the lattice's order."""
+    flats = m.lattice().proper_nonempty_flats()
+    layer = [()]
+    for _ in range(k):
+        grown = []
+        for mono in layer:
+            bottom = mono[0] if mono else frozenset(m.elements)
+            allowed = bottom - {min(bottom)}
+            grown += [(flat,) + mono for flat in flats if flat <= allowed]
+        layer = grown
+    for _ in range(m.rank() - 1 - k):
+        grown = []
+        for mono in layer:
+            top = mono[-1] if mono else frozenset()
+            needed = top | {next(e for e in m.elements if e not in top)}
+            grown += [mono + (flat,) for flat in flats if needed <= flat]
+        layer = grown
+    return layer
+
+
+REFERENCE_CASES = SUITE + [
+    ("fig1", triangle_with_pendant()),
+    ("K5", K5),
+    ("W5", W5),
+    ("domino", DOMINO),
+    ("U(4,9)", Matroid.uniform(4, 9)),
+    ("U(4,10)", Matroid.uniform(4, 10)),
+    ("U(5,10)", Matroid.uniform(5, 10)),
+]
+
+
+@pytest.mark.parametrize(
+    "m", [m for _, m in REFERENCE_CASES], ids=[name for name, _ in REFERENCE_CASES]
+)
+def test_surviving_flags_equal_the_reference_scan(m):
+    for k in range(m.rank()):
+        assert surviving_flags(m, k) == _reference_flags(m, k), k
+
+
+def test_surviving_flags_equal_the_reference_scan_on_k6():
+    k6 = complete_graph(6)
+    assert surviving_flags(k6, 2) == _reference_flags(k6, 2)
+
+
+@pytest.mark.parametrize(
+    "m", [m for _, m in REFERENCE_CASES[:9]], ids=[name for name, _ in REFERENCE_CASES[:9]]
+)
+def test_surviving_flags_equal_the_reference_scan_relabelled(m):
+    for seed in range(3):
+        perm = random.Random(seed).sample(m.elements, m.n_elements)
+        relabelled = relabel(m, perm)
+        for k in range(m.rank()):
+            assert surviving_flags(relabelled, k) == _reference_flags(relabelled, k), (perm, k)
+
+
+def test_deg_lex_scans_the_proper_flats_once(monkeypatch):
+    u510 = Matroid.uniform(5, 10)
+    calls = []
+    real = FlatLattice.proper_nonempty_flats
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FlatLattice, "proper_nonempty_flats", counting)
+    assert deg_lex(u510, 3) == u510.mu(3)
+    assert len(calls) <= 1
+
+
+def test_deg_lex_reads_no_oracle(monkeypatch):
+    expected = [[m.mu(k) for k in range(m.rank())] for m in SUITE_MATROIDS]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lex read an oracle")
+
+    for name in ("covers_above", "chains"):
+        monkeypatch.setattr(FlatLattice, name, forbidden)
+    for name in ("char_poly", "mu"):
+        monkeypatch.setattr(Matroid, name, forbidden)
+    for m, mus in zip(SUITE_MATROIDS, expected):
+        assert [deg_lex(m, k) for k in range(m.rank())] == mus

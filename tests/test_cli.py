@@ -315,12 +315,14 @@ def test_empty_ground_set_invariants(capsys):
 
 
 def test_empty_ground_set_deg_is_exit_2(capsys):
-    code, out, err = run(
-        capsys, "deg", "--uniform", "0", "0", "--k", "0", "--method", "lex"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for method in ("lex", "pp", "stable", "tropical"):
+        code, out, err = run(
+            capsys, "deg", "--uniform", "0", "0", "--k", "0", "--method", method
+        )
+        assert code == 2, method
+        assert out == "", method
+        assert err.startswith("error: ") and err.count("\n") == 1, method
+        assert "rank-0" in err, method
 
 
 def test_empty_ground_set_crosscheck_is_exit_2(capsys, tmp_path):

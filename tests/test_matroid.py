@@ -450,6 +450,8 @@ def test_lattice_matches_combinations_reference(m):
     for f, above in covers.items():
         assert lat.covers_above(f) == above
     assert lat.mobius == mobius
+    proper = [f for level in levels[1:-1] for f in level]
+    assert [frozenset(_members(f)) for f in lat.proper_nonempty_masks()] == proper
 
 
 def test_flat_counts_frozen():
