@@ -8,18 +8,18 @@ current bottom.  Expanding beta^k then alpha^(r-k) from the empty flag
 leaves one monomial per complete flag whose label word descends exactly at
 the first k positions, so the count of surviving flags is the degree.
 
-The expansion runs on bit-sliced flat columns.  The proper flats are
-numbered in the lattice's order, and holding[e] is an int over those
-numbers with bit i set iff flat i holds e.  A beta step's candidates are
-the flats avoiding every element outside bottom - min(bottom): the AND of
-~holding[e] over those e.  An alpha step's candidates are the flats holding
-top + (least absentee): the AND of holding[e] over its members.  Either
-set depends on one flat alone, so it is computed once per distinct bottom
-or top in a call, and a step is a lookup.  Monomials are tuples of flat
-numbers, in ascending candidate order, which is the lattice's order; they
-become frozenset flags only at the end.  Lex reads nothing of the lattice
-but its proper flats and their members, so it shares no code with the
-chain and Moebius oracles.
+The expansion runs on bit-sliced flat columns.  The proper flats are the
+lattice's int masks, numbered in its order, and holding[e] is an int over
+those numbers with bit i set iff flat i holds e.  A beta step's candidates
+are the flats avoiding every element outside bottom - min(bottom): the AND
+of ~holding[e] over those e.  An alpha step's candidates are the flats
+holding top + (least absentee): the AND of holding[e] over its members.
+Either set depends on one flat alone, so it is computed once per distinct
+bottom or top in a call, and a step is a lookup.  Monomials are tuples of
+flat numbers, in ascending candidate order, which is the lattice's order.
+Only the survivors become frozenset flags, one frozenset per distinct flat
+among them.  Lex reads nothing of the lattice but its proper flats and
+their members, so it shares no code with the chain and Moebius oracles.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ class _FlatColumns:
     per bottom (beta) and per top (alpha) mask, as ascending flat numbers."""
 
     def __init__(self, m: Matroid):
-        lattice = m.lattice()
-        self.flats = lattice.proper_nonempty_flats()
-        self.masks = lattice.proper_nonempty_masks()
+        self.masks = m.lattice().proper_nonempty_flats()
         self.full = (1 << m.n_elements) - 1
         self._every = (1 << len(self.masks)) - 1
         # the flats transposed, as the bases are: bit i of holding[e] iff flat i holds e
@@ -73,14 +71,14 @@ def lex_expand_alpha(m: Matroid, mono: FlagMonomial) -> List[FlagMonomial]:
     """Append one flat: candidates contain top(mono) plus its least absentee."""
     columns = _FlatColumns(m)
     top = _mask(mono[-1]) if mono else 0
-    return [mono + (columns.flats[i],) for i in columns.above(top)]
+    return [mono + (_view(columns.masks[i]),) for i in columns.above(top)]
 
 
 def lex_expand_beta(m: Matroid, mono: FlagMonomial) -> List[FlagMonomial]:
     """Prepend one flat: candidates avoid the least element of bottom(mono)."""
     columns = _FlatColumns(m)
     bottom = _mask(mono[0]) if mono else columns.full
-    return [(columns.flats[i],) + mono for i in columns.below(bottom)]
+    return [(_view(columns.masks[i]),) + mono for i in columns.below(bottom)]
 
 
 def surviving_flags(m: Matroid, k: int) -> List[FlagMonomial]:
@@ -101,8 +99,8 @@ def surviving_flags(m: Matroid, k: int) -> List[FlagMonomial]:
             for mono in layer
             for i in above(masks[mono[-1]] if mono else 0)
         ]
-    flats = columns.flats
-    survivors = [tuple(flats[i] for i in mono) for mono in layer]
+    views = {i: _view(masks[i]) for i in set().union(*layer)}
+    survivors = [tuple(map(views.__getitem__, mono)) for mono in layer]
     for mono in survivors:
         _assert_flag(mono)
     return survivors
@@ -111,6 +109,10 @@ def surviving_flags(m: Matroid, k: int) -> List[FlagMonomial]:
 def deg_lex(m: Matroid, k: int) -> int:
     """Each surviving complete flag has degree one, so the count is the degree."""
     return len(surviving_flags(m, k))
+
+
+def _view(mask: int) -> Flat:
+    return frozenset(_members(mask))
 
 
 def _assert_flag(mono: FlagMonomial) -> None:

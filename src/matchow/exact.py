@@ -3,11 +3,12 @@
 Everything here is exact.  Rationals are ``fractions.Fraction``, integers are
 Python ints, and the lattice index comes from elementary row reductions over
 Z (Hermite-style elimination).  Of the four routes only stable calls
-``lattice_index``.  No route calls ``solve_linear`` or the Smith form: both
-are kept as independent references that the tests check lattice indices,
-fan spans and stable points against.  Dimensions in this library stay
-below ten, so the classical O(n^3) algorithms with exact pivoting are the
-right tool.
+``lattice_index``.  No route calls ``solve_linear``: it is the independent
+reference that the tests check fan spans and stable points against, and it
+stays here because ``bench/spans.py`` wraps it where stable imports it.
+The tests hold ``lattice_index`` against a Smith form of their own.
+Dimensions in this library stay below ten, so the classical O(n^3)
+algorithms with exact pivoting are the right tool.
 """
 
 from __future__ import annotations
@@ -129,59 +130,3 @@ def solve_linear(
     for col, row in pivot_of_col.items():
         solution[col] = rows[row][-1]
     return "unique", tuple(solution)
-
-
-def smith_invariant_factors(rows: Iterable[Sequence[int]]) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
-
-    No route calls this; it is a second, independent reduction that the
-    tests hold lattice_index against.
-    """
-    mat = _as_int_rows(rows)
-    if not mat:
-        return []
-    m, n = len(mat), len(mat[0])
-    factors: list[int] = []
-    t = 0
-    while t < min(m, n):
-        # Find a nonzero entry in the working submatrix.
-        pos = [(i, j) for i in range(t, m) for j in range(t, n) if mat[i][j] != 0]
-        if not pos:
-            break
-        i0, j0 = min(pos, key=lambda p: abs(mat[p[0]][p[1]]))
-        mat[t], mat[i0] = mat[i0], mat[t]
-        for row in mat:
-            row[t], row[j0] = row[j0], row[t]
-        # Clear row and column t; restart whenever a remainder survives.
-        clean = True
-        for i in range(t + 1, m):
-            if mat[i][t] != 0:
-                q = mat[i][t] // mat[t][t]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[t])]
-                if mat[i][t] != 0:
-                    clean = False
-        for j in range(t + 1, n):
-            if mat[t][j] != 0:
-                q = mat[t][j] // mat[t][t]
-                for row in mat:
-                    row[j] -= q * row[t]
-                if mat[t][j] != 0:
-                    clean = False
-        if not clean:
-            continue
-        # Enforce divisibility of the remaining block by the pivot.
-        pivot = abs(mat[t][t])
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if mat[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            mat[t] = [a + b for a, b in zip(mat[t], mat[offender])]
-            continue
-        factors.append(pivot)
-        t += 1
-    return factors

@@ -10,9 +10,12 @@ spanned by {e_S : S in flag} recovers the geometry.  Inside this module
 and `tropical` a subset is an int mask with bit e set for element e, and a
 flag is a tuple of masks: a weighted fan's `weights` is a dict from
 same-dimension mask flags to nonzero weights (ints on the matroid fan and
-its divisors), and the constructor checks each flag as a mask chain.  Frozensets appear only at the public
-edge: `WeightedFan.cones`, `weight` and `reweighted`, the balancing
-certificate, `flag_parts`, `in_rational_span` and `e_image`.
+its divisors), and the constructor checks each flag as a mask chain.  The
+lattice of flats holds its flats as the same masks, so the matroid fan and
+the truncation windows key their weights by its chains as they come.
+Frozensets appear only at the public edge: `WeightedFan.cones`, `weight`
+and `reweighted`, the balancing certificate, `flag_parts`,
+`in_rational_span` and `e_image`.
 
 Balancing is tested by gaps, not by a linear solve.  A point lies in the
 span of a flag tau = (F_1 < ... < F_d) iff its full coordinates are
@@ -29,10 +32,10 @@ in the canonical order of `flag_key` only once one has failed.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import LoopPresent, RangeError, Unbalanced
-from .matroid import Chain, FlatLattice, Matroid, _members, _require_element
+from .matroid import Matroid, _members, _require_element
 
 Subset = FrozenSet[int]
 FlagCone = Tuple[Subset, ...]
@@ -191,13 +194,6 @@ class WeightedFan:
         )
 
 
-def lattice_flags(lattice: FlatLattice, lo: int, hi: int) -> Iterator[Tuple[Chain, MaskFlag]]:
-    """Each saturated chain of `lattice.chains(lo, hi)` with its mask flag."""
-    masks = dict(zip(lattice.proper_nonempty_flats(), lattice.proper_nonempty_masks()))
-    for chain in lattice.chains(lo, hi):
-        yield chain, tuple(masks[f] for f in chain)
-
-
 def matroid_fan(m: Matroid) -> WeightedFan:
     """Unit weights on the complete flags of proper nonempty flats."""
     if not m.is_loopless():
@@ -205,7 +201,7 @@ def matroid_fan(m: Matroid) -> WeightedFan:
     r = m.rank() - 1
     if r < 0:
         raise RangeError("a rank-0 matroid has no matroid fan (its dimension would be -1)")
-    flags = {flag: 1 for _, flag in lattice_flags(m.lattice(), 1, r)}
+    flags = dict.fromkeys(m.lattice().chains(1, r), 1)
     return WeightedFan._from_masks(m.n_elements, r, flags)
 
 

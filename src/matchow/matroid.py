@@ -6,11 +6,12 @@ fixed order, so minors relabel their ground sets back to an initial segment,
 preserving relative order.
 
 Inside this module a subset of the ground set is an int mask with bit e set
-for element e: bases, rank queries, closures and flats are mask operations.
-Frozensets appear only at the edge: `Matroid.bases`, `closure`, `loops`,
-`coloops` and the views of `FlatLattice`; `rank` and `closure` accept any
-iterable of elements.  Every construction, the named constructors, minors,
-duals and truncations included, runs the full basis-exchange check.
+for element e: bases, rank queries, closures and flats are mask operations,
+and `FlatLattice` hands out its flats and chains as those masks.
+Frozensets appear only at the edge: `Matroid.bases`, `closure`, `loops`
+and `coloops`; `rank` and `closure` accept any iterable of elements.
+Every construction, the named constructors, minors, duals and truncations
+included, runs the full basis-exchange check.
 
 The bases are also held transposed, as bit-sliced columns: column e is an
 int over basis indices with bit i set iff the i-th basis holds e.  A set of
@@ -49,7 +50,7 @@ from .errors import (
 )
 
 Flat = FrozenSet[int]
-Chain = Tuple[Flat, ...]
+Chain = Tuple[int, ...]
 
 
 def _mask(elements: Iterable[int]) -> int:
@@ -159,11 +160,11 @@ class FlatLattice:
     exchange check ORs together.  Moebius values are accumulated bottom-up
     from mu(bottom) = 1 and sum_{G <= F} mu(G) = 0 for F above the bottom,
     where the flats below F are gathered along the cover relation, not by
-    testing every earlier flat.  The public views are frozensets, and each
-    level is sorted by its flats' sorted element tuples, the order that
-    flags, cones and the lex expansion follow.  The masks of the proper
-    flats are kept in that order too, for the mask kernels of lex and the
-    fans.
+    testing every earlier flat.  Every flat it hands out, in levels, covers,
+    chains and as a key of `flat_rank` and `mobius`, is that mask.  Each
+    level is sorted by its flats' sorted element tuples, and the covers of a
+    flat follow the level order, so the chains come out in the order that
+    flags, cones and the lex expansion follow.
     """
 
     def __init__(self, matroid: "Matroid"):
@@ -197,40 +198,27 @@ class FlatLattice:
         for f in index:
             mus.append(-sum(mus[i] for i in _members(below[f])) if below[f] else 1)
 
-        view = {f: frozenset(_members(f)) for f in index}
-        self.flats_by_rank: Tuple[Tuple[Flat, ...], ...] = tuple(
-            tuple(view[f] for f in level) for level in levels
-        )
-        self.bottom: Flat = self.flats_by_rank[0][0]
-        self.top: Flat = self.flats_by_rank[-1][0]
-        self.flat_rank: Dict[Flat, int] = {
-            f: rk for rk, level in enumerate(self.flats_by_rank) for f in level
+        self.flats_by_rank: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, levels))
+        self.bottom: int = levels[0][0]
+        self.top: int = levels[-1][0]
+        self.flat_rank: Dict[int, int] = {
+            f: rk for rk, level in enumerate(levels) for f in level
         }
-        self._covers_above: Dict[Flat, Tuple[Flat, ...]] = {
-            view[f]: tuple(view[g] for g in sorted(above, key=index.__getitem__))
-            for f, above in covers.items()
+        self._covers_above: Dict[int, Tuple[int, ...]] = {
+            f: tuple(sorted(above, key=index.__getitem__)) for f, above in covers.items()
         }
-        self.mobius: Dict[Flat, int] = {view[f]: mu for f, mu in zip(index, mus)}
-        self._proper: Tuple[Flat, ...] = tuple(
-            f for level in self.flats_by_rank[1:-1] for f in level
-        )
-        self._proper_masks: Tuple[int, ...] = tuple(
-            f for level in levels[1:-1] for f in level
-        )
+        self.mobius: Dict[int, int] = dict(zip(index, mus))
+        self._proper: Tuple[int, ...] = tuple(f for level in levels[1:-1] for f in level)
 
-    def flats(self) -> Iterator[Flat]:
+    def flats(self) -> Iterator[int]:
         for level in self.flats_by_rank:
             yield from level
 
-    def proper_nonempty_flats(self) -> Tuple[Flat, ...]:
+    def proper_nonempty_flats(self) -> Tuple[int, ...]:
         """Flats other than the bottom and the full ground set, by rank."""
         return self._proper
 
-    def proper_nonempty_masks(self) -> Tuple[int, ...]:
-        """The int masks of `proper_nonempty_flats()`, in the same order."""
-        return self._proper_masks
-
-    def covers_above(self, flat: Flat) -> Tuple[Flat, ...]:
+    def covers_above(self, flat: int) -> Tuple[int, ...]:
         return self._covers_above.get(flat, ())
 
     def chains(self, lo: int, hi: int) -> Iterator[Chain]:
@@ -250,9 +238,10 @@ class FlatLattice:
 
 
 def jordan_holder_word(chain: Chain) -> Tuple[int, ...]:
-    """Minimal new element along each cover step of a maximal chain."""
+    """Minimal new element along each cover step of a maximal chain: the
+    lowest bit of g ^ f for each cover f < g."""
     return tuple(
-        min(chain[i] - chain[i - 1]) for i in range(1, len(chain))
+        ((g ^ f) & -(g ^ f)).bit_length() - 1 for f, g in zip(chain, chain[1:])
     )
 
 
@@ -569,10 +558,11 @@ class Matroid:
         """Count maximal flat chains whose label word descends exactly there.
 
         Each cover step F < G is labelled min(G - F); position i refers to
-        the comparison of labels i and i+1 (1-indexed).
+        the comparison of labels i and i+1 (1-indexed).  It takes the guard
+        of every degree route: the matroid must be loopless of rank >= 1.
         """
         positions = tuple(positions)
-        r_top = self.rank() - 1
+        r_top = self.degree_rank(0)
         # type() rather than isinstance(): True is no name for position 1
         if any(type(p) is not int or not 1 <= p <= r_top for p in positions):
             raise KOutOfRange(f"descent positions {list(positions)!r} outside 1..{r_top}")

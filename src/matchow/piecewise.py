@@ -32,14 +32,14 @@ point is never degenerate, so no point is ever redrawn.  A second point
 modulo a second prime must give the same reading: a sum that is not
 constant, or a residue that does not read as c, fails that check.
 
-No route calls `chambers`, `greedy_basis`, `chamber_denominator` or
-`generic_point`: they spell out the n! chamber sum in `Fraction`, the
-reference the tests hold the dynamic program against.
+No route calls `chamber_denominator` or `generic_point`.  With `chambers`
+and `greedy_basis` from the tests they spell out the n! chamber sum in
+`Fraction`, the reference the tests hold the dynamic program against; the
+two stay in this module because `bench/spans.py` wraps them here.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from operator import mul
@@ -53,19 +53,6 @@ Point = Tuple[Fraction, ...]
 
 # The two moduli: each point draws n distinct residues below its prime.
 _PRIMES = (2**61 - 1, 2**62 - 57)
-
-
-def chambers(n_elements: int) -> list[Perm]:
-    return list(itertools.permutations(range(n_elements)))
-
-
-def greedy_basis(m: Matroid, order: Sequence[int]) -> frozenset:
-    """First basis in the greedy scan of the given element order."""
-    chosen: set = set()
-    for e in order:
-        if m.rank(chosen | {e}) > len(chosen):
-            chosen.add(e)
-    return frozenset(chosen)
 
 
 def chamber_denominator(perm: Perm, point: Sequence[Fraction]) -> Fraction:

@@ -51,7 +51,6 @@ from .fan import (
     full_coordinates,
     gap_bounds,
     gap_value,
-    lattice_flags,
     mask_image,
     matroid_fan,
     require_balanced,  # unused here; bench/spans.py wraps it in this namespace
@@ -139,7 +138,7 @@ def truncation_weight(m: Matroid, r1: int, r2: int) -> WeightedFan:
     if not (1 <= r1 <= r2 <= r):
         raise RangeError(f"rank window [{r1}, {r2}] outside 1 <= r1 <= r2 <= {r}")
     lat = m.lattice()
-    weights = {flag: abs(lat.mobius[chain[0]]) for chain, flag in lattice_flags(lat, r1, r2)}
+    weights = {c: abs(lat.mobius[c[0]]) for c in lat.chains(r1, r2)}
     return WeightedFan._from_masks(m.n_elements, r2 - r1 + 1, weights)
 
 

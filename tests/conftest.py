@@ -7,6 +7,7 @@ from typing import Sequence
 import pytest
 
 from matchow import Matroid, complete_graph_k4, triangle_with_pendant
+from matchow.matroid import _members
 
 
 def suite_matroids() -> list[tuple[str, Matroid]]:
@@ -25,6 +26,11 @@ def suite_matroids() -> list[tuple[str, Matroid]]:
 def relabel(m: Matroid, perm: Sequence[int]) -> Matroid:
     """m with each element e renamed perm[e]; perm permutes 0..n-1."""
     return Matroid(m.n_elements, [[perm[e] for e in b] for b in m.bases])
+
+
+def view(flat: int) -> frozenset:
+    """The elements of a flat, which the lattice of flats holds as an int mask."""
+    return frozenset(_members(flat))
 
 
 def swap(n_elements: int, i: int, j: int) -> list[int]:

@@ -11,7 +11,7 @@ from matchow import KOutOfRange, LoopPresent, Matroid, deg_lex, triangle_with_pe
 from matchow.chowlex import lex_expand_alpha, lex_expand_beta, surviving_flags
 from matchow.matroid import FlatLattice, descent_set, jordan_holder_word
 
-from conftest import SUITE, SUITE_MATROIDS, relabel
+from conftest import SUITE, SUITE_MATROIDS, relabel, view
 
 fs = frozenset
 
@@ -79,7 +79,7 @@ def _descent_chain_flags(m: Matroid, k: int) -> set:
     out = set()
     for chain in m.lattice().maximal_chains():
         if descent_set(jordan_holder_word(chain)) == wanted:
-            out.add(chain[1:-1])
+            out.add(tuple(map(view, chain[1:-1])))
     return out
 
 
@@ -115,7 +115,7 @@ def test_fig1_deg_vector(fig1):
 def _reference_flags(m: Matroid, k: int) -> list:
     """The frozenset all-flats scan: every monomial of a layer is tested
     against every proper flat, in the lattice's order."""
-    flats = m.lattice().proper_nonempty_flats()
+    flats = [view(f) for f in m.lattice().proper_nonempty_flats()]
     layer = [()]
     for _ in range(k):
         grown = []

@@ -34,6 +34,7 @@ from matchow.fan import (
     require_balanced,
 )
 
+from conftest import view
 from fan_reference import (
     codim_one_stars,
     reference_certificate,
@@ -163,6 +164,26 @@ def test_matroid_fan_counts(suite_matroid):
     chains = sum(1 for _ in lat.maximal_chains())
     assert len(fan.weights) == chains
     assert fan.dim == suite_matroid.rank() - 1
+
+
+def test_matroid_fan_is_the_lattice_chains_as_they_are(suite_matroid):
+    # the lattice hands out int masks, and the fan keys its weights by them
+    m = suite_matroid
+    lat = m.lattice()
+    r = m.rank() - 1
+    assert all(type(f) is int for f in lat.flats())
+    chains = tuple(lat.chains(1, r))
+    assert all(type(f) is int for chain in chains for f in chain)
+    assert tuple(matroid_fan(m).weights) == chains
+    window = truncation_weight(m, 1, 1)
+    assert tuple(window.weights) == tuple(lat.chains(1, 1))
+
+
+def test_cones_follow_the_chain_walk(suite_matroid, fig1):
+    # levels sorted by members and covers in level order give flag_key order
+    for m in (suite_matroid, fig1):
+        chains = m.lattice().chains(1, m.rank() - 1)
+        assert matroid_fan(m).cones() == [tuple(map(view, chain)) for chain in chains]
 
 
 def test_matroid_fan_needs_loopless():

@@ -23,7 +23,7 @@ from matchow import (
 import matchow.matroid as matroid_module
 from matchow.matroid import _members, builtin, descent_set, jordan_holder_word
 
-from conftest import SUITE, SUITE_IDS, SUITE_MATROIDS
+from conftest import SUITE, SUITE_IDS, SUITE_MATROIDS, view
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +394,10 @@ def _flats_brute(m: Matroid) -> set:
 def test_lattice_matches_brute_force(suite_matroid):
     m = suite_matroid
     lat = m.lattice()
-    assert set(lat.flats()) == _flats_brute(m)
+    assert set(map(view, lat.flats())) == _flats_brute(m)
     for rk, level in enumerate(lat.flats_by_rank):
         for f in level:
-            assert m.rank(f) == rk
+            assert m.rank(view(f)) == rk
             assert lat.flat_rank[f] == rk
 
 
@@ -446,12 +446,13 @@ def _lattice_reference(m: Matroid):
 def test_lattice_matches_combinations_reference(m):
     levels, covers, mobius = _lattice_reference(m)
     lat = m.lattice()
-    assert lat.flats_by_rank == levels
+    assert tuple(tuple(map(view, level)) for level in lat.flats_by_rank) == levels
+    mask = {view(f): f for f in lat.flats()}
     for f, above in covers.items():
-        assert lat.covers_above(f) == above
-    assert lat.mobius == mobius
+        assert tuple(map(view, lat.covers_above(mask[f]))) == above
+    assert {view(f): mu for f, mu in lat.mobius.items()} == mobius
     proper = [f for level in levels[1:-1] for f in level]
-    assert [frozenset(_members(f)) for f in lat.proper_nonempty_masks()] == proper
+    assert [view(f) for f in lat.proper_nonempty_flats()] == proper
 
 
 def test_flat_counts_frozen():
@@ -468,7 +469,7 @@ def test_covers_raise_rank_by_one(suite_matroid):
             assert lat.covers_above(f) == ()
             continue
         for g in lat.covers_above(f):
-            assert f < g
+            assert view(f) < view(g)
             assert lat.flat_rank[g] == lat.flat_rank[f] + 1
 
 
@@ -476,10 +477,11 @@ def test_lattice_views_keep_level_order(suite_matroid):
     # flags, cones and the lex expansion follow the order of each level
     lat = suite_matroid.lattice()
     for level in lat.flats_by_rank:
-        assert list(level) == sorted(level, key=lambda f: tuple(sorted(f)))
+        assert list(level) == sorted(level, key=lambda f: tuple(sorted(view(f))))
     for rk, level in enumerate(lat.flats_by_rank[:-1]):
         for f in level:
-            assert lat.covers_above(f) == tuple(g for g in lat.flats_by_rank[rk + 1] if f < g)
+            above = tuple(g for g in lat.flats_by_rank[rk + 1] if view(f) < view(g))
+            assert lat.covers_above(f) == above
     proper = lat.proper_nonempty_flats()
     assert proper is lat.proper_nonempty_flats()
     assert proper == tuple(f for level in lat.flats_by_rank[1:-1] for f in level)
@@ -503,7 +505,7 @@ def test_mobius_frozen_values():
 def test_mobius_defining_recursion(suite_matroid):
     lat = suite_matroid.lattice()
     for f in lat.flats():
-        total = sum(lat.mobius[g] for g in lat.flats() if g <= f)
+        total = sum(lat.mobius[g] for g in lat.flats() if view(g) <= view(f))
         assert total == (1 if f == lat.bottom else 0)
 
 
@@ -513,7 +515,9 @@ def test_weisner_atom_identity():
         lat = m.lattice()
         for atom in lat.flats_by_rank[1]:
             total = sum(
-                lat.mobius[f] for f in lat.flats() if m.closure(f | atom) == lat.top
+                lat.mobius[f]
+                for f in lat.flats()
+                if m.closure(view(f) | view(atom)) == view(lat.top)
             )
             assert total == 0
 
@@ -739,6 +743,22 @@ def test_chains_with_descent_set_rejects_non_int_positions():
         with pytest.raises(KOutOfRange, match="outside 1..2"):
             fano.chains_with_descent_set(positions)
     assert fano.chains_with_descent_set(iter([1])) == 6
+
+
+def test_chains_with_descent_set_takes_the_degree_guard():
+    # mu and every route refuse these matroids, and so does the chain oracle
+    looped_triangle = Matroid.from_graph([(0, 1), (1, 2), (2, 0), (0, 0)])
+    for positions in ((), {1}):
+        with pytest.raises(LoopPresent):
+            looped_triangle.chains_with_descent_set(positions)
+    with pytest.raises(LoopPresent):
+        looped_triangle.mu(0)
+    # U(0,0) has rank 0, and every element of U(0,3) is a loop
+    for m, error in ((Matroid.uniform(0, 0), KOutOfRange), (Matroid.uniform(0, 3), LoopPresent)):
+        with pytest.raises(error):
+            m.mu(0)
+        with pytest.raises(error):
+            m.chains_with_descent_set(())
 
 
 def test_descent_counts_partition_all_chains(suite_matroid):

@@ -18,9 +18,10 @@ from matchow import (
     deg_pp,
 )
 from matchow.cli import main
-from matchow.piecewise import chamber_denominator, chambers, generic_point, greedy_basis
+from matchow.piecewise import chamber_denominator, generic_point
 
 from conftest import SUITE_MATROIDS
+from route_reference import chambers, greedy_basis
 
 
 def test_greedy_basis_examples():
