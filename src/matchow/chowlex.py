@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Tuple
 
-from .matroid import Matroid, _basis_columns, _mask, _members
+from .matroid import Matroid, _basis_columns, _members
 
 Flat = FrozenSet[int]
 FlagMonomial = Tuple[Flat, ...]
@@ -65,20 +65,6 @@ class _FlatColumns:
                 candidates &= self._holding[e]
             found = self._above[top] = _members(candidates)
         return found
-
-
-def lex_expand_alpha(m: Matroid, mono: FlagMonomial) -> List[FlagMonomial]:
-    """Append one flat: candidates contain top(mono) plus its least absentee."""
-    columns = _FlatColumns(m)
-    top = _mask(mono[-1]) if mono else 0
-    return [mono + (_view(columns.masks[i]),) for i in columns.above(top)]
-
-
-def lex_expand_beta(m: Matroid, mono: FlagMonomial) -> List[FlagMonomial]:
-    """Prepend one flat: candidates avoid the least element of bottom(mono)."""
-    columns = _FlatColumns(m)
-    bottom = _mask(mono[0]) if mono else columns.full
-    return [(_view(columns.masks[i]),) + mono for i in columns.below(bottom)]
 
 
 def surviving_flags(m: Matroid, k: int) -> List[FlagMonomial]:

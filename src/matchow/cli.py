@@ -77,9 +77,6 @@ def _load_matroid(args) -> tuple[Matroid, str]:
         if not isinstance(data, dict) or "n_elements" not in data or "bases" not in data:
             raise ValueError("bases file must be a JSON object with n_elements and bases")
         n, bases = data["n_elements"], data["bases"]
-        # bool is an int subclass, and int() would truncate 3.9 or parse "3"
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"n_elements must be a JSON integer, got {n!r}")
         if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
             raise ValueError("bases must be a list of lists of elements")
         m = Matroid(n, bases)

@@ -2,10 +2,12 @@
 
 Everything here is exact.  Rationals are ``fractions.Fraction``, integers are
 Python ints, and the lattice index comes from elementary row reductions over
-Z (Hermite-style elimination).  Of the four routes only stable calls
-``lattice_index``.  No route calls ``solve_linear``: it is the independent
-reference that the tests check fan spans and stable points against, and it
-stays here because ``bench/spans.py`` wraps it where stable imports it.
+Z (Hermite-style elimination) of vectors whose entries are ints: a float,
+a bool or a Fraction raises ValueError.  Of the four routes only stable
+calls ``lattice_index``.  No route calls ``solve_linear``: it is the
+independent reference that the tests check fan spans and stable points
+against, and it stays here because ``bench/spans.py`` wraps it where stable
+imports it.
 The tests hold ``lattice_index`` against a Smith form of their own.
 Dimensions in this library stay below ten, so the classical O(n^3)
 algorithms with exact pivoting are the right tool.
@@ -25,16 +27,13 @@ from .errors import NotFullRank
 
 
 def _as_int_rows(vectors: Iterable[Sequence[int]]) -> list[list[int]]:
-    rows = []
-    for v in vectors:
-        row = []
-        for x in v:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"lattice vectors must be integral, got {x}")
-                x = x.numerator
-            row.append(int(x))
-        rows.append(row)
+    """The vectors as lists; raises ValueError on an entry that is not an int
+    (bools, floats and Fractions included)."""
+    rows = [list(v) for v in vectors]
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"lattice vectors must have int entries, got {x!r}")
     return rows
 
 

@@ -6,16 +6,19 @@ zero, so a point is a tuple of length n over the elements 1..n and the
 class of e_S maps to ([i in S] - [0 in S])_{i=1..n}.
 
 Cones of the braid fan are flags of proper nonempty subsets of E; the cone
-spanned by {e_S : S in flag} recovers the geometry.  Inside this module
-and `tropical` a subset is an int mask with bit e set for element e, and a
-flag is a tuple of masks: a weighted fan's `weights` is a dict from
-same-dimension mask flags to nonzero weights (ints on the matroid fan and
-its divisors), and the constructor checks each flag as a mask chain.  The
-lattice of flats holds its flats as the same masks, so the matroid fan and
-the truncation windows key their weights by its chains as they come.
-Frozensets appear only at the public edge: `WeightedFan.cones`, `weight`
-and `reweighted`, the balancing certificate, `flag_parts`,
-`in_rational_span` and `e_image`.
+spanned by {e_S : S in flag} recovers the geometry.  Inside this module,
+`tropical` and `stable` a subset is an int mask with bit e set for element
+e, and a flag is a tuple of masks: a weighted fan's `weights` is a dict
+from same-dimension mask flags to nonzero weights (ints on the matroid fan
+and its divisors).  The lattice of flats holds its flats as the same masks,
+so the matroid fan and the truncation windows key their weights by its
+chains as they come, and stable walks those chains itself.  The rule that a
+flag strictly nests proper nonempty subsets is written once, in `_checked`:
+the fan constructors run it on every flag, and `chain_masks` runs it on one
+caller's flag for `flag_parts` and `stable.intersect_triple`.  Frozensets
+appear only at the public edge: `WeightedFan.cones`, `weight` and
+`reweighted`, the balancing certificate, `flag_parts`, `in_rational_span`
+and `e_image`.
 
 Balancing is tested by gaps, not by a linear solve.  A point lies in the
 span of a flag tau = (F_1 < ... < F_d) iff its full coordinates are
@@ -35,7 +38,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import LoopPresent, RangeError, Unbalanced
-from .matroid import Matroid, _members, _require_element
+from .matroid import Matroid, _members, _subset_mask
 
 Subset = FrozenSet[int]
 FlagCone = Tuple[Subset, ...]
@@ -45,16 +48,6 @@ MaskFlag = Tuple[int, ...]
 def flag_key(flag: FlagCone):
     """Canonical sort key so iteration orders are deterministic."""
     return tuple(tuple(sorted(s)) for s in flag)
-
-
-def _subset_mask(n_elements: int, subset: Iterable[int]) -> int:
-    """The mask of a subset of E; raises ValueError on a member that is not
-    an int in 0..n-1 (bools included)."""
-    mask = 0
-    for e in subset:
-        _require_element(e, n_elements)
-        mask |= 1 << e
-    return mask
 
 
 def _flag_masks(n_elements: int, flag: Iterable[Iterable[int]]) -> MaskFlag:
@@ -82,18 +75,25 @@ def full_coordinates(point: Sequence) -> tuple:
     return (0, *point)
 
 
+def chain_masks(n_elements: int, flag: Iterable[Iterable[int]]) -> MaskFlag:
+    """The mask flag of a flag of subsets of E; raises ValueError unless it
+    strictly nests proper nonempty subsets (the test of `_checked`)."""
+    masks = _flag_masks(n_elements, flag)
+    _checked(n_elements, len(masks), {masks: 1})
+    return masks
+
+
+def mask_blocks(n_elements: int, flag: MaskFlag) -> List[int]:
+    """The blocks F_1, F_2 - F_1, ..., E - F_d of a mask chain, as masks."""
+    bounds = (0, *flag, (1 << n_elements) - 1)
+    return [hi ^ lo for lo, hi in zip(bounds, bounds[1:])]
+
+
 def flag_parts(n_elements: int, flag: FlagCone) -> List[Subset]:
-    """The blocks S_1, S_2 - S_1, ..., E - S_d of a flag of subsets of E;
-    raises ValueError unless the flag strictly nests proper nonempty subsets."""
-    parts = []
-    prev: Subset = frozenset()
-    for s in (*flag, frozenset(range(n_elements))):
-        if not prev < s:
-            flag_text = [sorted(t) for t in flag]
-            raise ValueError(f"flag {flag_text} is not a strict chain of proper nonempty subsets")
-        parts.append(s - prev)
-        prev = s
-    return parts
+    """The blocks of a flag of subsets of E as frozensets; raises ValueError
+    unless the flag strictly nests proper nonempty subsets."""
+    blocks = mask_blocks(n_elements, chain_masks(n_elements, flag))
+    return [frozenset(_members(b)) for b in blocks]
 
 
 def braid_cone_of(n_elements: int, point: Sequence) -> FlagCone:

@@ -53,13 +53,6 @@ Flat = FrozenSet[int]
 Chain = Tuple[int, ...]
 
 
-def _mask(elements: Iterable[int]) -> int:
-    mask = 0
-    for e in elements:
-        mask |= 1 << e
-    return mask
-
-
 def _members(mask: int) -> Tuple[int, ...]:
     """The elements of a mask, ascending."""
     out = []
@@ -74,6 +67,15 @@ def _require_element(e, n_elements: int) -> None:
     # type() rather than isinstance(): True is no name for element 1
     if type(e) is not int or not 0 <= e < n_elements:
         raise ValueError(f"element {e!r} is not an integer in 0..{n_elements - 1}")
+
+
+def _subset_mask(n_elements: int, subset: Iterable[int]) -> int:
+    """The mask of a subset of E, each member gated by `_require_element`."""
+    mask = 0
+    for e in subset:
+        _require_element(e, n_elements)
+        mask |= 1 << e
+    return mask
 
 
 def _basis_columns(masks: Sequence[int], n_elements: int) -> list[int]:
@@ -276,9 +278,7 @@ class Matroid:
         masks = []
         for b in bases:
             b = tuple(b)
-            for e in b:
-                _require_element(e, n_elements)
-            mask = _mask(b)
+            mask = _subset_mask(n_elements, b)
             if mask.bit_count() != len(b):
                 raise ValueError(f"basis {list(b)} lists an element twice")
             masks.append(mask)
@@ -376,17 +376,11 @@ class Matroid:
     def rank(self, subset: Iterable[int] | None = None) -> int:
         if subset is None:
             return self._masks[0].bit_count()
-        key = self._subset_mask(subset)
+        key = _subset_mask(self.n_elements, subset)
         return max((key & b).bit_count() for b in self._masks)
 
     def closure(self, subset: Iterable[int]) -> Flat:
-        return frozenset(_members(self._closure_mask(self._subset_mask(subset))))
-
-    def _subset_mask(self, subset: Iterable[int]) -> int:
-        subset = tuple(subset)
-        for e in subset:
-            _require_element(e, self.n_elements)
-        return _mask(subset)
+        return frozenset(_members(self._closure_mask(_subset_mask(self.n_elements, subset))))
 
     def _tight_bases(self, subset: int) -> int:
         """The bases meeting the subset in rank(subset) elements, as a bitmap

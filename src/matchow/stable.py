@@ -43,6 +43,13 @@ Block values are integer potentials: a and b are scaled by the lcm of
 their denominators, a positive scale keeps every sign test, and points come
 back as Fractions.  The span lattices of the skeleton loci are spanned by
 indicator vectors, and the lattice index is computed on every hit.
+
+The complete flags are the lattice's int-mask chains (bit e for element e),
+in the order `FlatLattice.chains(1, r)` hands them out; no matroid fan is
+built.  A pattern is (mask flag, block index of each element, I mask, J
+mask).  The blocks and their least elements come off the mask bits, the
+block index is built only for a flag that keeps a pattern, and frozensets
+are built only for the IntersectionPoint of a hit.
 """
 
 from __future__ import annotations
@@ -51,20 +58,20 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateSystem, NotFullRank
-from .exact import (
-    lattice_index,
-    solve_linear,  # unused here; bench/spans.py wraps it in this namespace
-)
-from .fan import FlagCone, e_image, flag_parts, full_coordinates, matroid_fan
-from .matroid import Matroid, _require_element
+from .exact import lattice_index
+from .exact import solve_linear  # unused here; bench/spans.py wraps it in this namespace
+from .fan import FlagCone, MaskFlag, _flag_view, chain_masks, full_coordinates, mask_blocks
+from .fan import mask_image
+from .fan import matroid_fan  # unused here; bench/spans.py wraps it in this namespace
+from .matroid import Matroid, _members, _subset_mask
 
 Subset = FrozenSet[int]
 Vector = Tuple[Fraction, ...]
-# (flag, block index of each element, I, J): one candidate triple.
-Pattern = Tuple[FlagCone, Tuple[int, ...], Subset, Subset]
+# (mask flag, block index of each element, I mask, J mask): one candidate triple.
+Pattern = Tuple[MaskFlag, Tuple[int, ...], int, int]
 
 
 def displacement_vectors(n_elements: int, seed: int) -> Tuple[Vector, Vector]:
@@ -128,14 +135,14 @@ class IntersectionPoint(NamedTuple):
     index: int
 
 
-def _span_generators(n_elements: int, group: Subset) -> List[Tuple[int, ...]]:
-    """Quotient images of e_g for each g outside the group.
+def _span_generators(n_elements: int, group: int) -> List[Tuple[int, ...]]:
+    """Quotient images of e_g for each g outside the group, given as a mask.
 
     With e_group they span the integer vectors constant on the group, a
     direct summand of Z^E that holds the all-ones vector, so the image is
     saturated; e_group itself is minus their sum modulo the all-ones vector.
     """
-    return [e_image(n_elements, {g}) for g in range(n_elements) if g not in group]
+    return [mask_image(n_elements, 1 << g) for g in range(n_elements) if not group >> g & 1]
 
 
 def _potentials(n_nodes: int, edges: Sequence[Tuple[int, int, int]]) -> Optional[List[int]]:
@@ -170,23 +177,23 @@ def _potentials(n_nodes: int, edges: Sequence[Tuple[int, int, int]]) -> Optional
 
 
 def _meet(
-    flag: FlagCone,
+    flag: MaskFlag,
     block: Sequence[int],
-    I: Subset,
-    J: Subset,
+    I: int,
+    J: int,
     fa: Sequence[int],
     fb: Sequence[int],
     scale: int,
 ) -> Optional[IntersectionPoint]:
     """The evaluator behind intersect_triple and the enumeration.
 
-    block[e] is the index of e's block in the flag; fa and fb are the full
-    displacements times scale > 0.  Nodes 0..r are the blocks, r+1 and r+2
-    the levels of I and J.
+    flag is a mask chain, I and J are masks, and block[e] is the index of
+    e's block in the flag; fa and fb are the full displacements times
+    scale > 0.  Nodes 0..r are the blocks, r+1 and r+2 the levels of I and J.
     """
     n_blocks = len(flag) + 1
-    edges = [(n_blocks, block[s], fa[s]) for s in I]
-    edges += [(n_blocks + 1, block[u], fb[u]) for u in J]
+    edges = [(n_blocks, block[s], fa[s]) for s in _members(I)]
+    edges += [(n_blocks + 1, block[u], fb[u]) for u in _members(J)]
     x = _potentials(n_blocks + 2, edges)
     if x is None:
         return None
@@ -200,9 +207,10 @@ def _meet(
             return None
     full = [values[p] for p in block]
     for group, offsets, sense in ((I, fa, 1), (J, fb, -1)):
-        level = full[min(group)] - offsets[min(group)]
+        least = (group & -group).bit_length() - 1
+        level = full[least] - offsets[least]
         for e, (xe, oe) in enumerate(zip(full, offsets)):
-            if e in group:
+            if group >> e & 1:
                 continue
             gap = (xe - oe - level) * sense
             if gap == 0:
@@ -211,20 +219,22 @@ def _meet(
                 return None
 
     n_el = len(block)
-    generators = [e_image(n_el, s) for s in flag]
+    generators = [mask_image(n_el, s) for s in flag]
     generators += _span_generators(n_el, I) + _span_generators(n_el, J)
     try:
         index = lattice_index(generators, n_el - 1)
     except NotFullRank as exc:
         raise DegenerateSystem(f"span lattices do not fill the ambient space: {exc}")
-    return IntersectionPoint(tuple(Fraction(v, scale) for v in full[1:]), flag, I, J, index)
+    point = tuple(Fraction(v, scale) for v in full[1:])
+    smallest, largest = frozenset(_members(I)), frozenset(_members(J))
+    return IntersectionPoint(point, _flag_view(flag), smallest, largest, index)
 
 
-def _block_index(n_elements: int, parts: Sequence[Subset]) -> Tuple[int, ...]:
-    """block[e] = index of the part (flag block) holding e."""
+def _element_blocks(n_elements: int, blocks: Sequence[int]) -> Tuple[int, ...]:
+    """block[e], the index of the mask block that holds e."""
     block = [0] * n_elements
-    for i, part in enumerate(parts):
-        for e in part:
+    for i, part in enumerate(blocks):
+        for e in _members(part):
             block[e] = i
     return tuple(block)
 
@@ -244,27 +254,26 @@ def intersect_triple(
     Raises ValueError unless every member of smallest and largest is in 0..n-1.
     """
     n_el = len(a) + 1
-    for e in (*smallest, *largest):
-        _require_element(e, n_el)
+    I, J = _subset_mask(n_el, smallest), _subset_mask(n_el, largest)
     fa, fb, scale = _scaled(*_check_monotone(n_el, a, b))
-    block = _block_index(n_el, flag_parts(n_el, flag))
-    return _meet(flag, block, frozenset(smallest), frozenset(largest), fa, fb, scale)
+    masks = chain_masks(n_el, flag)
+    return _meet(masks, _element_blocks(n_el, mask_blocks(n_el, masks)), I, J, fa, fb, scale)
 
 
-def _tree_patterns(n_elements: int, r: int, k: int, flags: Sequence[FlagCone]) -> List[Pattern]:
+def _tree_patterns(n_elements: int, r: int, k: int, flags: Iterable[MaskFlag]) -> List[Pattern]:
     """Every triple that survives the draw-independent pruning, in enumeration order.
 
     Per flag: I takes the smallest element of each of r-k+1 blocks, with
     these increasing along the flag; J takes the smallest element of the
     other k blocks and of one of I's, with these decreasing along the flag.
     Flags keep their order, and within a flag the triples are sorted as
-    itertools.combinations would list I and then J.
+    itertools.combinations would list I and then J.  A block's least element
+    is kept as its bit, which orders as the element does.
     """
     patterns: List[Pattern] = []
     for flag in flags:
-        parts = flag_parts(n_elements, flag)
-        block = _block_index(n_elements, parts)
-        lows = [min(part) for part in parts]
+        blocks = mask_blocks(n_elements, flag)
+        lows = [part & -part for part in blocks]
         found = []
         for chosen in itertools.combinations(range(r + 1), r - k + 1):
             I = [lows[p] for p in chosen]
@@ -275,8 +284,10 @@ def _tree_patterns(n_elements: int, r: int, k: int, flags: Sequence[FlagCone]) -
                 J = [lows[p] for p in sorted((*rest, shared))]
                 if all(u > v for u, v in zip(J, J[1:])):
                     found.append((tuple(I), tuple(reversed(J))))
-        found.sort()
-        patterns += [(flag, block, frozenset(I), frozenset(J)) for I, J in found]
+        if found:
+            found.sort()
+            block = _element_blocks(n_elements, blocks)
+            patterns += [(flag, block, sum(I), sum(J)) for I, J in found]
     return patterns
 
 
@@ -289,7 +300,7 @@ def stable_intersection_points(
     """
     r = m.degree_rank(k)
     n_el = m.n_elements
-    patterns = _tree_patterns(n_el, r, k, matroid_fan(m).cones())
+    patterns = _tree_patterns(n_el, r, k, m.lattice().chains(1, r))
     for attempt in range(32):
         a, b = displacement_vectors(n_el, seed * 1000003 + attempt)
         fa, fb, scale = _scaled(*_check_monotone(n_el, a, b))

@@ -55,7 +55,7 @@ from .fan import (
     matroid_fan,
     require_balanced,  # unused here; bench/spans.py wraps it in this namespace
 )
-from .matroid import Matroid
+from .matroid import Matroid, _require_element
 
 
 class PLFunction:
@@ -91,8 +91,7 @@ def pl_linear(n_elements: int, coeffs: Mapping[int, int]) -> PLFunction:
     """The linear function sum c_e x_e; the coefficients must sum to 0 so that
     it is well defined on the quotient by the all-ones line."""
     for e in coeffs:
-        if type(e) is not int or not 0 <= e < n_elements:
-            raise ValueError(f"coefficient key {e!r} is not an element of 0..{n_elements - 1}")
+        _require_element(e, n_elements)
     if sum(coeffs.values()) != 0:
         raise ValueError("a linear function on the quotient needs coefficient sum 0")
     terms = tuple(coeffs.items())

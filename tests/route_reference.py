@@ -4,6 +4,8 @@
 hold `exact.lattice_index` against.  `chambers` and `greedy_basis` spell
 out the n! chamber sum of `piecewise.deg_pp` in `Fraction`, together with
 `piecewise.chamber_denominator` and `piecewise.generic_point`.
+`lex_expand_alpha` and `lex_expand_beta` take one expansion step of
+`chowlex.surviving_flags` on a frozenset flag monomial.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import itertools
 from typing import Iterable, Sequence
 
 from matchow import Matroid
+from matchow.chowlex import FlagMonomial, _FlatColumns, _view
 from matchow.exact import _as_int_rows
+from matchow.matroid import _subset_mask
 
 
 def chambers(n_elements: int) -> list[tuple[int, ...]]:
@@ -82,3 +86,17 @@ def smith_invariant_factors(rows: Iterable[Sequence[int]]) -> list[int]:
         factors.append(pivot)
         t += 1
     return factors
+
+
+def lex_expand_alpha(m: Matroid, mono: FlagMonomial) -> list[FlagMonomial]:
+    """Append one flat: candidates contain top(mono) plus its least absentee."""
+    columns = _FlatColumns(m)
+    top = _subset_mask(m.n_elements, mono[-1]) if mono else 0
+    return [mono + (_view(columns.masks[i]),) for i in columns.above(top)]
+
+
+def lex_expand_beta(m: Matroid, mono: FlagMonomial) -> list[FlagMonomial]:
+    """Prepend one flat: candidates avoid the least element of bottom(mono)."""
+    columns = _FlatColumns(m)
+    bottom = _subset_mask(m.n_elements, mono[0]) if mono else columns.full
+    return [(_view(columns.masks[i]),) + mono for i in columns.below(bottom)]

@@ -54,6 +54,15 @@ def test_lattice_index_scaling_one_generator():
         assert lattice_index(scaled, 3) == scale
 
 
+def test_lattice_vectors_take_ints_only():
+    # a float used to truncate and a bool to read as 1; no Fraction is an int
+    for bad in (1.7, True, Fraction(1, 2), Fraction(2)):
+        with pytest.raises(ValueError, match="int entries"):
+            lattice_index([(bad, 0), (0, 1)], 2)
+        with pytest.raises(ValueError, match="int entries"):
+            hermite_row_reduce([(1, 0), (0, bad)], 2)
+
+
 def test_hermite_rows_span_same_lattice():
     rows = [(2, 4, 4), (-6, 6, 12), (10, 4, 16)]
     echelon = hermite_row_reduce(rows, 3)

@@ -19,6 +19,7 @@ from matchow import (
     deg_tropical,
     e_image,
     full_coordinates,
+    intersect_triple,
     is_balanced,
     matroid_fan,
     truncation_weight,
@@ -99,6 +100,7 @@ def test_braid_cone_contains_its_point():
 
 
 def test_validate_flag_errors():
+    a, b = (Fraction(-1), Fraction(-2)), (Fraction(1), Fraction(2))
     for flag in (
         (frozenset(),),
         (frozenset({0, 1, 2}),),
@@ -110,6 +112,8 @@ def test_validate_flag_errors():
             flag_parts(3, flag)
         with pytest.raises(ValueError):
             WeightedFan(3, len(flag), {flag: 1})
+        with pytest.raises(ValueError):
+            intersect_triple(flag, (0, 1), (0, 2), a, b)
     assert flag_parts(3, (frozenset({1}), frozenset({1, 2}))) == [
         frozenset({1}),
         frozenset({2}),

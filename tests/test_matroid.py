@@ -144,7 +144,7 @@ def test_grouped_exchange_check_matches_pair_scan():
         else:
             every = list(itertools.combinations(range(n), rng.randint(0, n)))
             bases = rng.sample(every, rng.randint(1, min(len(every), 12)))
-        masks = tuple(matroid_module._mask(b) for b in bases)
+        masks = tuple(sum(1 << e for e in b) for b in bases)
         shuffled = list(dict.fromkeys(masks))
         rng.shuffle(shuffled)
         for order in (tuple(sorted(shuffled)), tuple(shuffled)):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import matchow.fan as fan_mod
 import matchow.stable as stable_mod
 from matchow import (
     DegenerateSystem,
@@ -22,7 +23,7 @@ from matchow import (
 )
 from matchow.chowlex import surviving_flags
 from matchow.exact import hermite_row_reduce, solve_linear
-from matchow.fan import flag_parts, full_coordinates, matroid_fan
+from matchow.fan import WeightedFan, flag_parts, full_coordinates, matroid_fan
 from matchow.stable import (
     _check_monotone,
     _coincident_difference,
@@ -77,7 +78,7 @@ def test_span_generators_are_saturated():
         small = list(itertools.product((-1, 0, 1), repeat=n - 1))
         for size in range(1, n + 1):
             for group in map(fs, itertools.combinations(range(n), size)):
-                generators = _span_generators(n, group)
+                generators = _span_generators(n, sum(1 << g for g in group))
                 assert all(_constant_on(group, g) for g in generators)
                 # the echelon rows are a basis of the same lattice
                 basis = hermite_row_reduce(generators, n - 1)
@@ -304,6 +305,20 @@ def test_all_indices_are_one(suite_matroid):
 
 
 def test_deg_stable_matches_mu(suite_matroid, fig1):
+    for m in (suite_matroid, fig1):
+        for k in range(m.rank()):
+            assert deg_stable(m, k) == m.mu(k)
+
+
+def test_deg_stable_walks_the_lattice_chains(monkeypatch, suite_matroid, fig1):
+    # deg_stable reads the lattice's mask chains as they come: it builds no
+    # matroid fan, sorts no cones and splits no flag into frozenset blocks
+    def refuse(*args):
+        raise AssertionError("deg_stable left the lattice's mask chains")
+
+    monkeypatch.setattr(WeightedFan, "cones", refuse)
+    monkeypatch.setattr(fan_mod, "flag_parts", refuse)
+    monkeypatch.setattr(stable_mod, "matroid_fan", refuse)
     for m in (suite_matroid, fig1):
         for k in range(m.rank()):
             assert deg_stable(m, k) == m.mu(k)
