@@ -13,25 +13,30 @@ and `coloops`; `rank` and `closure` accept any iterable of elements.
 Every construction, the named constructors, minors, duals and truncations
 included, runs the full basis-exchange check.
 
-The bases are also held transposed, as bit-sliced columns: column e is an
-int over basis indices with bit i set iff the i-th basis holds e.  A set of
-bases is then one int, and "the bases holding e", "the bases meeting S in j
-or more elements" and "the elements some chosen basis holds" are a few
-whole-int operations instead of a loop over the bases.
-
 The exchange check groups the pairs (B1, x) by T = B1 - x.  The ys with
 T + y a basis form a set Y_T that holds x and depends on T alone (in a
 matroid it is the cocircuit E - cl(T)), and B1 - x + y is a basis for some
-y in B2 - B1 exactly when B2 meets Y_T.  So each (r-1)-set T inside a basis
-costs one test: the columns of Y_T together must cover every basis.
+y in B2 - B1 exactly when B2 meets Y_T.  So the verdict depends on Y_T
+alone, and each distinct Y_T costs one test: transposed over basis
+indices, its columns together must cover every basis.
+
+The distinct Y_T are every cocircuit, and their complements every
+hyperplane.  The matroid keeps them, and on the first closure or lattice
+query transposes the hyperplanes into one column per element: bit j of
+column e is set iff the j-th hyperplane holds e.  A flat of rank below r
+is the intersection of the hyperplanes that hold it (Oxley, Matroid
+Theory, ch. 1), so a closure is one AND of columns and one scan: cl(S)
+holds x iff every hyperplane holding S holds x.  Loops are the elements
+no basis holds, read off the bases, so minors and the degree guard never
+build the hyperplane columns.
 
 The characteristic polynomial is always computed twice, by the subset
 inclusion-exclusion sum and by the Moebius sum over the lattice of flats,
 and the two are asserted equal; callers therefore get a value that has
 already survived one independent cross-check.  The subset sum takes each
 subset's rank from a greedy independent subset grown along a depth-first
-walk of 2^E, not from the basis columns the lattice is built with, so the
-two sums share no rank code.
+walk of 2^E, not from the hyperplane columns the lattice is built on, so
+the two sums share no rank code.
 """
 
 from __future__ import annotations
@@ -79,15 +84,23 @@ def _subset_mask(n_elements: int, subset: Iterable[int]) -> int:
 
 
 def _basis_columns(masks: Sequence[int], n_elements: int) -> list[int]:
-    """The bases transposed: bit i of column e is set iff masks[i] holds e."""
-    rows = [bytearray((len(masks) + 7) >> 3) for _ in range(n_elements)]
-    for i, b in enumerate(masks):
-        byte, bit = i >> 3, 1 << (i & 7)
-        while b:
-            low = b & -b
-            rows[low.bit_length() - 1][byte] |= bit
-            b ^= low
-    return [int.from_bytes(row, "little") for row in rows]
+    """The masks transposed: bit i of column e is set iff masks[i] holds e.
+
+    Every mask is written as the same number of little-endian bytes, so
+    byte c of all of them is one strided slice.  Reversed, so that masks[0]
+    comes last, and translated through a table that spells bit k of each
+    byte as b"0" or b"1", that slice is column 8c + k as a binary numeral."""
+    if not masks:
+        return [0] * n_elements
+    width = (n_elements + 7) >> 3
+    data = b"".join([b.to_bytes(width, "little") for b in masks])
+    columns = []
+    for c in range(width):
+        chunk = data[c::width][::-1]
+        for k in range(min(8, n_elements - 8 * c)):
+            spell = (b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k)
+            columns.append(int(chunk.translate(spell), 2))
+    return columns
 
 
 def _one_smaller(masks: Iterable[int]) -> Set[int]:
@@ -151,43 +164,46 @@ def _poly_divide_by_q_minus_1(coeffs: Sequence[int]) -> Tuple[int, ...]:
 class FlatLattice:
     """Flats of a matroid ordered by inclusion, graded by rank.
 
-    Built on masks.  The covers of a flat F are the closures of F + e for e
-    outside F; each cover holds every e that generates it, so one closure
-    per cover finds them all.  The bases meeting F + e in rank(F) + 1
-    elements are the bases meeting F in rank(F) elements that hold e, so
-    they are one AND of F's tight bases with e's column, and the cover is
-    F + e plus every element that none of them holds.  For a hyperplane
-    cover cl(T), with T an (r-1)-set inside a basis, the elements left out
-    are the cocircuit Y_T = {y : T + y is a basis} whose columns the
-    exchange check ORs together.  Moebius values are accumulated bottom-up
-    from mu(bottom) = 1 and sum_{G <= F} mu(G) = 0 for F above the bottom,
-    where the flats below F are gathered along the cover relation, not by
-    testing every earlier flat.  Every flat it hands out, in levels, covers,
-    chains and as a key of `flat_rank` and `mobius`, is that mask.  Each
-    level is sorted by its flats' sorted element tuples, and the covers of a
-    flat follow the level order, so the chains come out in the order that
-    flags, cones and the lex expansion follow.
+    Built on masks and the matroid's hyperplane columns.  Each flat F
+    carries its hyperplane set h_F, a bitmap over the hyperplanes that hold
+    it; the bottom is the loops, which every hyperplane holds.  The cover
+    cl(F + e) of F is the intersection of the hyperplanes in h_F & column e,
+    and two elements outside F give the same cover exactly when they lie in
+    the same hyperplanes through F.  So the elements outside F, grouped by
+    that key, are the covers less F, one group per cover, and each key is
+    its cover's hyperplane set; key 0 gives the top.  Moebius values are
+    accumulated bottom-up from mu(bottom) = 1 and sum_{G <= F} mu(G) = 0 for
+    F above the bottom.  The flats below F are gathered along the cover
+    relation into a bitmap over flat indices, and the flats seen so far are
+    kept in one bitmap per Moebius value, so the sum is one popcount per
+    value.  Every flat it hands out, in levels, covers, chains and as a key
+    of `flat_rank` and `mobius`, is that mask.  Each level is sorted by its
+    flats' sorted element tuples, and the covers of a flat follow the level
+    order, so the chains come out in the order that flags, cones and the
+    lex expansion follow.
     """
 
     def __init__(self, matroid: "Matroid"):
         self.matroid = matroid
-        columns = matroid._columns
-        full = (1 << matroid.n_elements) - 1
-        levels = [[matroid._closure_mask(0)]]
-        covers: Dict[int, list[int]] = {}
+        bits = [(1 << e, column) for e, column in enumerate(matroid._hyperplane_columns())]
+        levels = [[matroid._loops]]
+        # the hyperplane sets of the last level's flats
+        through = {matroid._loops: (1 << len(matroid._cocircuits)) - 1}
+        covers: Dict[int, Tuple[int, ...]] = {}
         for _ in range(matroid.rank()):
-            fresh = set()
+            fresh: Dict[int, int] = {}
             for f in levels[-1]:
-                above = covers[f] = []
-                tight = matroid._tight_bases(f)
-                rest = full & ~f
-                while rest:
-                    e = rest & -rest
-                    reach = matroid._held(tight & columns[e.bit_length() - 1])
-                    g = (f | e | ~reach) & full
-                    rest &= ~g
-                    above.append(g)
-                fresh.update(above)
+                h = through[f]
+                groups: Dict[int, int] = {}
+                for bit, column in bits:
+                    if not f & bit:
+                        key = h & column
+                        groups[key] = groups.get(key, 0) | bit
+                # groups open in the order of their least elements, which is
+                # the level order of their covers: no two flats of one rank nest
+                covers[f] = above = tuple(f | g for g in groups.values())
+                fresh.update(zip(above, groups))
+            through = fresh
             levels.append(sorted(fresh, key=_members))
 
         index = {f: i for i, f in enumerate(f for level in levels for f in level)}
@@ -197,8 +213,12 @@ class FlatLattice:
             for g in above:
                 below[g] |= under
         mus: list[int] = []
-        for f in index:
-            mus.append(-sum(mus[i] for i in _members(below[f])) if below[f] else 1)
+        by_value: Dict[int, int] = {}  # the flats seen so far, by Moebius value
+        for i, under in enumerate(below.values()):
+            terms = [v * (under & seen).bit_count() for v, seen in by_value.items()]
+            mu = -sum(terms) if under else 1
+            mus.append(mu)
+            by_value[mu] = by_value.get(mu, 0) | 1 << i
 
         self.flats_by_rank: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, levels))
         self.bottom: int = levels[0][0]
@@ -206,9 +226,7 @@ class FlatLattice:
         self.flat_rank: Dict[int, int] = {
             f: rk for rk, level in enumerate(levels) for f in level
         }
-        self._covers_above: Dict[int, Tuple[int, ...]] = {
-            f: tuple(sorted(above, key=index.__getitem__)) for f, above in covers.items()
-        }
+        self._covers_above = covers
         self.mobius: Dict[int, int] = dict(zip(index, mus))
         self._proper: Tuple[int, ...] = tuple(f for level in levels[1:-1] for f in level)
 
@@ -264,11 +282,14 @@ class Matroid:
 
     Instances are immutable after construction; minors and duals return new
     objects.  Every construction verifies the basis-exchange axiom.
-    `bases` is the frozenset view of the masks, and `_columns` their
-    transpose over basis indices (see the module docstring).
+    `bases` is the frozenset view of the masks, `_cocircuits` the distinct
+    cocircuits the exchange check collects, and `_loops` the mask of the
+    elements that no basis holds (see the module docstring).
     """
 
-    __slots__ = ("n_elements", "_masks", "_columns", "_lattice", "_char_poly")
+    __slots__ = (
+        "n_elements", "_masks", "_cocircuits", "_loops", "_hcolumns", "_lattice", "_char_poly"
+    )
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
         if type(n_elements) is not int:
@@ -288,10 +309,10 @@ class Matroid:
         if len(sizes) != 1:
             raise ExchangeViolation(f"bases of unequal size: {sorted(sizes)}")
         self._masks: Tuple[int, ...] = tuple(sorted(set(masks)))
-        columns = _check_exchange(self._masks)
+        self._cocircuits: Tuple[int, ...] = _check_exchange(self._masks)
         self.n_elements = n_elements
-        # elements that no basis holds (loops) get empty columns
-        self._columns = columns + [0] * (n_elements - len(columns))
+        self._loops = ((1 << n_elements) - 1) & ~reduce(or_, self._masks)
+        self._hcolumns: list[int] | None = None
         self._lattice: FlatLattice | None = None
         self._char_poly: Tuple[int, ...] | None = None
 
@@ -382,44 +403,33 @@ class Matroid:
     def closure(self, subset: Iterable[int]) -> Flat:
         return frozenset(_members(self._closure_mask(_subset_mask(self.n_elements, subset))))
 
-    def _tight_bases(self, subset: int) -> int:
-        """The bases meeting the subset in rank(subset) elements, as a bitmap
-        over basis indices.
-
-        at_least[j] holds the bases meeting the elements read so far in j or
-        more of them; reading e adds the bases of at_least[j - 1] that hold
-        e to at_least[j].  The highest nonempty level is the answer."""
-        at_least = [(1 << len(self._masks)) - 1]
-        for e in _members(subset):
-            column = self._columns[e]
-            top = at_least[-1] & column
-            for j in range(len(at_least) - 1, 0, -1):
-                at_least[j] |= at_least[j - 1] & column
-            if top:
-                at_least.append(top)
-        return at_least[-1]
-
-    def _held(self, chosen: int) -> int:
-        """The elements held by some basis of a bitmap over basis indices:
-        those whose column meets it."""
-        held = 0
-        for e, column in enumerate(self._columns):
-            if column & chosen:
-                held |= 1 << e
-        return held
+    def _hyperplane_columns(self) -> list[int]:
+        """The hyperplanes E - Y transposed: bit j of column e is set iff the
+        j-th hyperplane holds e.  Built on the first closure or lattice query."""
+        if self._hcolumns is None:
+            full = (1 << self.n_elements) - 1
+            self._hcolumns = _basis_columns([full ^ y for y in self._cocircuits], self.n_elements)
+        return self._hcolumns
 
     def _closure_mask(self, subset: int) -> int:
-        """An element e outside S is in the closure of S unless some basis
-        meeting S in rank(S) elements holds e: that basis meets S + e in one
-        more."""
-        reach = self._held(self._tight_bases(subset))
-        return (subset | ~reach) & ((1 << self.n_elements) - 1)
+        """cl(S) is the intersection of the hyperplanes holding S, or E when
+        none does: with h the AND of the columns of S, x is in cl(S) iff its
+        column holds h."""
+        columns = self._hyperplane_columns()
+        h = (1 << len(self._cocircuits)) - 1
+        for e in _members(subset):
+            h &= columns[e]
+        flat = 0
+        for x, column in enumerate(columns):
+            if column & h == h:
+                flat |= 1 << x
+        return flat
 
     def loops(self) -> Flat:
-        return self.closure(())
+        return frozenset(_members(self._loops))
 
     def is_loopless(self) -> bool:
-        return not self._closure_mask(0)
+        return not self._loops
 
     def coloops(self) -> Flat:
         return frozenset(_members(reduce(and_, self._masks)))
@@ -531,7 +541,7 @@ class Matroid:
 
     def contract(self, e: int) -> "Matroid":
         _require_element(e, self.n_elements)
-        if e in self.loops():
+        if self._loops >> e & 1:
             raise LoopContract(f"element {e} is a loop")
         bit = 1 << e
         return self._relabel_without(e, [b ^ bit for b in self._masks if b & bit])
@@ -581,21 +591,21 @@ class Matroid:
         return f"Matroid(n={self.n_elements}, rank={self.rank()}, bases={len(self._masks)})"
 
 
-def _check_exchange(masks: Tuple[int, ...]) -> list[int]:
+def _check_exchange(masks: Tuple[int, ...]) -> Tuple[int, ...]:
     """For every ordered pair of bases B1, B2 and x in B1 - B2, some y in
-    B2 - B1 makes B1 - x + y a basis; returns the basis columns it builds,
-    one per element up to the highest element some basis holds.
+    B2 - B1 makes B1 - x + y a basis; returns the distinct cocircuits it
+    collects, as masks.
 
     With T = B1 - x, the ys outside B1 that make T + y a basis, together
     with x, are Y_T = {y : T + y is a basis}, which depends on T alone; in a
-    matroid it is the cocircuit E - cl(T).  A B2 holding x passes, and a B2 avoiding x passes
-    iff it holds one of the others, so the pair passes iff B2 meets Y_T.
-    Hence one pass over (basis, x) collects Y_T for every (r-1)-set T inside
-    a basis, and the check is that the columns of Y_T together cover every
-    basis.  Only when some T fails are the pairs rescanned: bases, then x
-    ascending, in the order of the given tuple, with the lowest uncovered
-    index as B2, so a sorted tuple names a witness that depends only on the
-    set of bases.
+    matroid it is the cocircuit E - cl(T).  A B2 holding x passes, and a B2
+    avoiding x passes iff it holds one of the others, so the pair passes iff
+    B2 meets Y_T.  Hence one pass over (basis, x) collects Y_T for every
+    (r-1)-set T inside a basis, and the check is that the basis columns of
+    each distinct Y_T together cover every basis.  Only when some Y_T fails
+    are the pairs rescanned: bases, then x ascending, in the order of the
+    given tuple, with the lowest uncovered index as B2, so a sorted tuple
+    names a witness that depends only on the set of bases.
     """
     cocircuits: Dict[int, int] = {}
     for b in masks:
@@ -604,18 +614,23 @@ def _check_exchange(masks: Tuple[int, ...]) -> list[int]:
             x = xs & -xs
             xs ^= x
             cocircuits[b ^ x] = cocircuits.get(b ^ x, 0) | x
+    distinct = tuple(dict.fromkeys(cocircuits.values()))
     columns = _basis_columns(masks, reduce(or_, masks).bit_length())
     every = (1 << len(masks)) - 1
     missed = {}
-    for t, ys in cocircuits.items():
-        met = reduce(or_, map(columns.__getitem__, _members(ys)))
+    for ys in distinct:
+        met, rest = 0, ys
+        while rest:
+            y = rest & -rest
+            met |= columns[y.bit_length() - 1]
+            rest ^= y
         if met != every:
-            missed[t] = every & ~met
+            missed[ys] = every & ~met
     if not missed:
-        return columns
+        return distinct
     for b1 in masks:
         for x in _members(b1):
-            uncovered = missed.get(b1 ^ 1 << x)
+            uncovered = missed.get(cocircuits[b1 ^ 1 << x])
             if uncovered is not None:
                 b2 = masks[(uncovered & -uncovered).bit_length() - 1]
                 raise ExchangeViolation(

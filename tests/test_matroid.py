@@ -8,6 +8,7 @@ from functools import reduce
 from operator import or_
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchow import (
     EmptyBases,
@@ -154,6 +155,34 @@ def test_grouped_exchange_check_matches_pair_scan():
     assert verdicts == {True, False}
 
 
+def test_exchange_witness_where_many_sets_share_a_cocircuit():
+    # each cocircuit Y_T is tested once for all the T that share it, and a
+    # failure is named by the same rescan as the pair scan names it
+    k5 = Matroid.from_graph(list(itertools.combinations(range(5), 2)))
+    families = [
+        tuple(b for b in m._masks if b != gone) for m in (complete_graph_k4(), k5) for gone in m._masks
+    ]
+    fano = Matroid.fano()
+    lines = [t for t in itertools.combinations(range(7), 3) if frozenset(t) not in fano.bases]
+    families += [tuple(sorted(fano._masks + (sum(1 << e for e in t),))) for t in lines]
+    rng = random.Random(3)
+    violations = 0
+    for masks in families:
+        for order in (masks, tuple(rng.sample(masks, len(masks)))):
+            expected = _exchange_verdict(_pair_scan_exchange, order)
+            assert _exchange_verdict(matroid_module._check_exchange, order) == expected, order
+            violations += expected is not None
+    assert violations
+
+def test_basis_columns_transpose_the_masks():
+    # the byte-sliced transpose, across byte boundaries and with no masks
+    rng = random.Random(7)
+    for n in (0, 1, 7, 8, 9, 16, 17, 23):
+        for count in (0, 1, 5, 8, 9, 40):
+            masks = [rng.getrandbits(n) for _ in range(count)]
+            expected = [sum(1 << i for i, b in enumerate(masks) if b >> e & 1) for e in range(n)]
+            assert matroid_module._basis_columns(masks, n) == expected, (n, masks)
+
 def test_k7_rung_from_explicit_bases(monkeypatch):
     # the 7^5 spanning trees of K7, one per Pruefer sequence, checked in full
     edge_index = {e: i for i, e in enumerate(itertools.combinations(range(7), 2))}
@@ -222,7 +251,8 @@ def test_every_construction_checks_exchange_once(monkeypatch):
         before, columns_before = len(calls), len(column_builds)
         construct()
         assert len(calls) == before + 1, name
-        # the exchange check hands its columns to the constructor
+        # the exchange check transposes the bases once, and construction
+        # builds no hyperplane columns: loops are read off the bases
         assert len(column_builds) == columns_before + 1, name
 
 
@@ -440,10 +470,24 @@ def _lattice_reference(m: Matroid):
         Matroid.uniform(3, 7),
         Matroid.from_graph(list(itertools.combinations(range(5), 2))),
         Matroid.from_graph([(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
+        # with loops the bottom is the loops, not the empty set
+        Matroid.from_graph([(0, 1), (1, 2), (2, 0), (0, 0), (0, 1)]),
+        Matroid(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3]]),
+        Matroid.uniform(0, 3),
+        Matroid.uniform(1, 1),
+        Matroid.uniform(1, 3),
+        Matroid.uniform(5, 10),
+        Matroid.from_graph([(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]),
     ],
-    ids=SUITE_IDS + ["fig1", "U(3,7)", "K5", "W5"],
+    ids=SUITE_IDS
+    + ["fig1", "U(3,7)", "K5", "W5", "looped triangle", "coloop", "U(0,3)", "U(1,1)"]
+    + ["U(1,3)", "U(5,10)", "domino"],
 )
 def test_lattice_matches_combinations_reference(m):
+    _assert_lattice_matches_reference(m)
+
+
+def _assert_lattice_matches_reference(m: Matroid) -> None:
     levels, covers, mobius = _lattice_reference(m)
     lat = m.lattice()
     assert tuple(tuple(map(view, level)) for level in lat.flats_by_rank) == levels
@@ -454,6 +498,28 @@ def test_lattice_matches_combinations_reference(m):
     proper = [f for level in levels[1:-1] for f in level]
     assert [view(f) for f in lat.proper_nonempty_flats()] == proper
 
+
+# multigraphs on five vertices with at most 8 edges, loops and parallel edges included
+_multigraphs = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_multigraphs)
+def test_generated_closure_matches_rank_brute_force(edges):
+    m = Matroid.from_graph(edges)
+    for rel in (m, m.dual()):
+        ranks = [max((s & b).bit_count() for b in rel._masks) for s in range(1 << rel.n_elements)]
+        for s, rk in enumerate(ranks):
+            expected = {e for e in rel.elements if ranks[s | 1 << e] == rk}
+            assert rel.closure(_members(s)) == expected, (edges, rel is m, s)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_multigraphs)
+def test_generated_lattice_matches_combinations_reference(edges):
+    m = Matroid.from_graph(edges)
+    for rel in (m, m.dual()):
+        _assert_lattice_matches_reference(rel)
 
 def test_flat_counts_frozen():
     counts = lambda m: [len(level) for level in m.lattice().flats_by_rank]
@@ -585,6 +651,23 @@ def test_subset_sum_matches_brute_force(m, monkeypatch):
     monkeypatch.setattr(Matroid, "rank", no_subset_rank)
     assert fresh.char_poly() == tuple(expected)
 
+
+def test_whitney_side_reads_no_hyperplanes(monkeypatch):
+    # with loops only the subset sum runs: it and the loop tests read the
+    # bases, never the hyperplane columns or the lattice the Moebius side uses
+    def refuse(*args):
+        raise AssertionError("read the hyperplane columns or the lattice")
+
+    monkeypatch.setattr(Matroid, "_hyperplane_columns", refuse)
+    monkeypatch.setattr(matroid_module.FlatLattice, "__init__", refuse)
+    looped = Matroid.from_graph([(0, 1), (1, 2), (2, 0), (0, 0), (0, 1)])
+    assert not looped.is_loopless()
+    assert looped.loops() == frozenset({3})
+    assert looped.char_poly() == (0, 0, 0)
+    with pytest.raises(LoopContract):
+        looped.contract(3)
+    # contracting edge 0 makes its parallel edge a loop; both loops move down by one
+    assert looped.contract(0).loops() == frozenset({2, 3})
 
 def test_reduced_char_poly_and_rendering(fig1):
     assert fig1.reduced_char_poly() == (2, -3, 1)
