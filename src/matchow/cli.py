@@ -65,6 +65,12 @@ def _add_matroid_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _refuse_unknown_keys(data: dict, known: tuple, kind: str) -> None:
+    for key in data:
+        if key not in known:
+            raise ValueError(f"{kind} file has unknown key {key!r}; expected {' and '.join(known)}")
+
+
 def _load_matroid(args) -> tuple[Matroid, str]:
     if args.builtin:
         return builtin(args.builtin), args.builtin
@@ -76,6 +82,7 @@ def _load_matroid(args) -> tuple[Matroid, str]:
             data = json.load(fh)
         if not isinstance(data, dict) or "n_elements" not in data or "bases" not in data:
             raise ValueError("bases file must be a JSON object with n_elements and bases")
+        _refuse_unknown_keys(data, ("n_elements", "bases"), "bases")
         n, bases = data["n_elements"], data["bases"]
         if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
             raise ValueError("bases must be a list of lists of elements")
@@ -88,6 +95,7 @@ def _load_matroid(args) -> tuple[Matroid, str]:
     except json.JSONDecodeError:
         data = [line.split() for line in text.splitlines() if line.split()]
     if isinstance(data, dict):
+        _refuse_unknown_keys(data, ("edges",), "graph")
         data = data.get("edges")
     if not isinstance(data, list):
         raise ValueError("graph file must give an edge list")
@@ -202,6 +210,14 @@ def cmd_crosscheck(args) -> int:
     lines.append(f"mu vector: {' '.join(mu)}")
     lines.append(f"reduced char poly: {reduced}")
     lines.append("PASS" if all_agree else "FAIL: methods disagree")
+    for row in rows:
+        if not row["agree"]:
+            differ = [f"{c} = {row[c]}" for c in columns if row[c] != row["whitney"]]
+            print(
+                f"mismatch at k={row['k']}: " + ", ".join(differ)
+                + f" against whitney = {row['whitney']}",
+                file=sys.stderr,
+            )
     payload = {
         "matroid": name,
         "seed": args.seed,

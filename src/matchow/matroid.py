@@ -22,21 +22,24 @@ indices, its columns together must cover every basis.
 
 The distinct Y_T are every cocircuit, and their complements every
 hyperplane.  The matroid keeps them, and on the first closure or lattice
-query transposes the hyperplanes into one column per element: bit j of
-column e is set iff the j-th hyperplane holds e.  A flat of rank below r
+query sorts the hyperplanes by their element tuples and transposes them
+into one column per element: bit j of column e is set iff the j-th
+hyperplane holds e.  A flat of rank below r
 is the intersection of the hyperplanes that hold it (Oxley, Matroid
 Theory, ch. 1), so a closure is one AND of columns and one scan: cl(S)
 holds x iff every hyperplane holding S holds x.  Loops are the elements
 no basis holds, read off the bases, so minors and the degree guard never
 build the hyperplane columns.
 
-The characteristic polynomial is always computed twice, by the subset
-inclusion-exclusion sum and by the Moebius sum over the lattice of flats,
-and the two are asserted equal; callers therefore get a value that has
-already survived one independent cross-check.  The subset sum takes each
-subset's rank from a greedy independent subset grown along a depth-first
-walk of 2^E, not from the hyperplane columns the lattice is built on, so
-the two sums share no rank code.
+The characteristic polynomial is always computed twice, by Whitney's sum
+over the sets that hold no broken circuit and by the Moebius sum over the
+lattice of flats, and the two are asserted equal; callers therefore get a
+value that has already survived one independent cross-check.  The NBC sum
+tests independence by membership in the family of subsets of bases, not by
+the hyperplane columns the lattice is built on, so the two sums share no
+rank code.  The lattice builds its Moebius values on their first read, so
+the degree routes, which read only flats, covers and chains, never pay for
+them.
 """
 
 from __future__ import annotations
@@ -171,16 +174,21 @@ class FlatLattice:
     and two elements outside F give the same cover exactly when they lie in
     the same hyperplanes through F.  So the elements outside F, grouped by
     that key, are the covers less F, one group per cover, and each key is
-    its cover's hyperplane set; key 0 gives the top.  Moebius values are
-    accumulated bottom-up from mu(bottom) = 1 and sum_{G <= F} mu(G) = 0 for
-    F above the bottom.  The flats below F are gathered along the cover
-    relation into a bitmap over flat indices, and the flats seen so far are
-    kept in one bitmap per Moebius value, so the sum is one popcount per
-    value.  Every flat it hands out, in levels, covers, chains and as a key
-    of `flat_rank` and `mobius`, is that mask.  Each level is sorted by its
-    flats' sorted element tuples, and the covers of a flat follow the level
-    order, so the chains come out in the order that flags, cones and the
-    lex expansion follow.
+    its cover's hyperplane set.  The grouping stops below rank r - 2: the
+    hyperplanes come off the cocircuits, in the order the columns number
+    them, which is the level order; a flat F of rank r - 2 is covered by
+    the hyperplanes in h_F, and each hyperplane by E alone.  Every flat it
+    hands out, in levels, covers, chains and as a key of `flat_rank` and
+    `mobius`, is that mask.  Each level is sorted by its flats' sorted
+    element tuples, and the covers of a flat follow the level order, so the
+    chains come out in the order that flags, cones and the lex expansion
+    follow.
+
+    `mobius` is built on its first read and then kept, bottom-up from
+    mu(bottom) = 1 and sum_{G <= F} mu(G) = 0 for F above the bottom.  The
+    flats below F are gathered along the cover relation into a bitmap over
+    flat indices, and the flats seen so far are kept in one bitmap per
+    Moebius value, so the sum is one popcount per value.
     """
 
     def __init__(self, matroid: "Matroid"):
@@ -190,7 +198,8 @@ class FlatLattice:
         # the hyperplane sets of the last level's flats
         through = {matroid._loops: (1 << len(matroid._cocircuits)) - 1}
         covers: Dict[int, Tuple[int, ...]] = {}
-        for _ in range(matroid.rank()):
+        r = matroid.rank()
+        for _ in range(r - 2):
             fresh: Dict[int, int] = {}
             for f in levels[-1]:
                 h = through[f]
@@ -205,10 +214,40 @@ class FlatLattice:
                 fresh.update(zip(above, groups))
             through = fresh
             levels.append(sorted(fresh, key=_members))
+        if r > 1:
+            # a flat of rank r - 2 is covered by the hyperplanes that hold it,
+            # which the columns number in level order
+            hyperplanes = matroid._hyperplanes
+            for f in levels[-1]:
+                covers[f] = tuple(hyperplanes[j] for j in _members(through[f]))
+            levels.append(hyperplanes)
+        if r:
+            # E is the one flat above each hyperplane
+            top = (1 << matroid.n_elements) - 1
+            covers.update(dict.fromkeys(levels[-1], (top,)))
+            levels.append([top])
 
-        index = {f: i for i, f in enumerate(f for level in levels for f in level)}
+        self.flats_by_rank: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, levels))
+        self.bottom: int = levels[0][0]
+        self.top: int = levels[-1][0]
+        self.flat_rank: Dict[int, int] = {
+            f: rk for rk, level in enumerate(levels) for f in level
+        }
+        self._covers_above = covers
+        self._mobius: Dict[int, int] | None = None
+        self._proper: Tuple[int, ...] = tuple(f for level in levels[1:-1] for f in level)
+
+    @property
+    def mobius(self) -> Dict[int, int]:
+        """Moebius value mu(bottom, F) of each flat F, built on the first read."""
+        if self._mobius is None:
+            self._mobius = self._moebius_values()
+        return self._mobius
+
+    def _moebius_values(self) -> Dict[int, int]:
+        index = {f: i for i, f in enumerate(self.flats())}
         below = dict.fromkeys(index, 0)  # the flats under each flat, by index
-        for f, above in covers.items():
+        for f, above in self._covers_above.items():
             under = below[f] | 1 << index[f]
             for g in above:
                 below[g] |= under
@@ -219,16 +258,7 @@ class FlatLattice:
             mu = -sum(terms) if under else 1
             mus.append(mu)
             by_value[mu] = by_value.get(mu, 0) | 1 << i
-
-        self.flats_by_rank: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, levels))
-        self.bottom: int = levels[0][0]
-        self.top: int = levels[-1][0]
-        self.flat_rank: Dict[int, int] = {
-            f: rk for rk, level in enumerate(levels) for f in level
-        }
-        self._covers_above = covers
-        self.mobius: Dict[int, int] = dict(zip(index, mus))
-        self._proper: Tuple[int, ...] = tuple(f for level in levels[1:-1] for f in level)
+        return dict(zip(index, mus))
 
     def flats(self) -> Iterator[int]:
         for level in self.flats_by_rank:
@@ -288,7 +318,8 @@ class Matroid:
     """
 
     __slots__ = (
-        "n_elements", "_masks", "_cocircuits", "_loops", "_hcolumns", "_lattice", "_char_poly"
+        "n_elements", "_masks", "_cocircuits", "_loops", "_hyperplanes", "_hcolumns", "_lattice",
+        "_char_poly",
     )
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
@@ -312,6 +343,7 @@ class Matroid:
         self._cocircuits: Tuple[int, ...] = _check_exchange(self._masks)
         self.n_elements = n_elements
         self._loops = ((1 << n_elements) - 1) & ~reduce(or_, self._masks)
+        self._hyperplanes: Tuple[int, ...] = ()
         self._hcolumns: list[int] | None = None
         self._lattice: FlatLattice | None = None
         self._char_poly: Tuple[int, ...] | None = None
@@ -344,30 +376,44 @@ class Matroid:
                 raise ValueError(f"edge {e!r} is not a pair of int or string vertices")
         vertices = {v for e in edges for v in e}
         index = {v: i for i, v in enumerate(sorted(vertices, key=repr))}
+        ends = [(index[u], index[v]) for u, v in edges]
+        # a union-find without path compression, so a union undoes by
+        # restoring one parent
+        parent = list(range(len(index)))
 
-        def forest_rank(subset: Iterable[int]) -> int:
-            parent = list(range(len(index)))
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
 
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+        full_rank = 0  # the edges of any spanning forest
+        for u, v in ends:
+            u, v = find(u), find(v)
+            if u != v:
+                parent[u] = v
+                full_rank += 1
+        parent[:] = range(len(index))
 
-            rank = 0
-            for i in subset:
-                u, v = (find(index[w]) for w in edges[i])
+        # include/exclude walk over the edges: an edge is included when it
+        # joins two components, and passed over while enough edges remain
+        bases: list[Tuple[int, ...]] = []
+        chosen: list[int] = []
+
+        def walk(i: int) -> None:
+            while len(edges) - i >= full_rank - len(chosen):
+                if len(chosen) == full_rank:
+                    bases.append(tuple(chosen))
+                    return
+                u, v = find(ends[i][0]), find(ends[i][1])
                 if u != v:
                     parent[u] = v
-                    rank += 1
-            return rank
+                    chosen.append(i)
+                    walk(i + 1)
+                    chosen.pop()
+                    parent[u] = u
+                i += 1
 
-        full_rank = forest_rank(range(len(edges)))
-        bases = [
-            subset
-            for subset in itertools.combinations(range(len(edges)), full_rank)
-            if forest_rank(subset) == full_rank
-        ]
+        walk(0)
         return cls(len(edges), bases)
 
     @classmethod
@@ -404,11 +450,13 @@ class Matroid:
         return frozenset(_members(self._closure_mask(_subset_mask(self.n_elements, subset))))
 
     def _hyperplane_columns(self) -> list[int]:
-        """The hyperplanes E - Y transposed: bit j of column e is set iff the
+        """The hyperplanes E - Y, sorted by their element tuples into
+        `_hyperplanes`, and transposed: bit j of column e is set iff the
         j-th hyperplane holds e.  Built on the first closure or lattice query."""
         if self._hcolumns is None:
             full = (1 << self.n_elements) - 1
-            self._hcolumns = _basis_columns([full ^ y for y in self._cocircuits], self.n_elements)
+            self._hyperplanes = tuple(sorted((full ^ y for y in self._cocircuits), key=_members))
+            self._hcolumns = _basis_columns(self._hyperplanes, self.n_elements)
         return self._hcolumns
 
     def _closure_mask(self, subset: int) -> int:
@@ -444,42 +492,50 @@ class Matroid:
     def char_poly(self) -> Tuple[int, ...]:
         """Coefficients of chi(q), ascending in the power of q.
 
-        Computed by the signed subset sum over all of 2^E; when the matroid
-        is loopless the Moebius sum over flats is computed as well and the
-        two are asserted identical.  The first call stores the result.
+        Computed by Whitney's sum over the sets that contain no broken
+        circuit (NBC), a broken circuit being a circuit less its least
+        element: chi(q) is the sum of (-1)^|S| q^(r-|S|) over them (Whitney
+        1932, Rota 1964).  A loop makes the empty set a broken circuit, so
+        then chi = 0; otherwise the Moebius sum over flats is computed as
+        well and the two are asserted identical.  The first call stores the
+        result.
 
-        The subset sum walks 2^E depth-first, deciding element 0, 1, ... in
-        turn, and carries a greedy maximal independent subset of the chosen
-        elements (independent: inside some basis); its size is the subset's
-        rank because the bases passed the exchange check.
+        An independent S is NBC iff no e outside S lies in the closure of
+        the members of S above e.  So the walk goes depth-first, prepending
+        smaller elements: it keeps S + s, for s below every member of S, iff
+        S + s and every S + s + e with e < s are independent.  Independence
+        is membership in the family of subsets of bases, never a rank or
+        closure query, so the two sums share no rank code.
         """
         if self._char_poly is not None:
             return self._char_poly
         full_rank = self.rank()
         coeffs = [0] * (full_rank + 1)
-        independent = set(self._masks)
-        layer = independent
-        while layer:
-            layer = _one_smaller(layer)
-            independent |= layer
+        if not self._loops:
+            independent = set(self._masks)
+            layer = independent
+            while layer:
+                layer = _one_smaller(layer)
+                independent |= layer
 
-        def walk(e: int, greedy: int, sign: int) -> None:
-            if e == self.n_elements:
-                coeffs[full_rank - greedy.bit_count()] += sign
-                return
-            walk(e + 1, greedy, sign)
-            grown = greedy | 1 << e
-            walk(e + 1, grown if grown in independent else greedy, -sign)
+            def walk(nbc: int, least: int, sign: int) -> None:
+                coeffs[full_rank - nbc.bit_count()] += sign
+                for s in range(least):
+                    grown = nbc | 1 << s
+                    if grown not in independent:
+                        break  # and S + t + s is dependent for every t > s
+                    if all(grown | 1 << e in independent for e in range(s)):
+                        walk(grown, s, -sign)
 
-        walk(0, 0, 1)
-        if self.is_loopless():
+            walk(0, self.n_elements, 1)
+
             lat = self.lattice()
             via_mobius = [0] * (full_rank + 1)
             for flat, mu in lat.mobius.items():
                 via_mobius[full_rank - lat.flat_rank[flat]] += mu
             if via_mobius != coeffs:
                 raise AssertionError(
-                    "subset-sum and Moebius characteristic polynomials disagree"
+                    "NBC and Moebius characteristic polynomials disagree"
                 )
         self._char_poly = tuple(coeffs)
         return self._char_poly

@@ -6,6 +6,10 @@ out the n! chamber sum of `piecewise.deg_pp` in `Fraction`, together with
 `piecewise.chamber_denominator` and `piecewise.generic_point`.
 `lex_expand_alpha` and `lex_expand_beta` take one expansion step of
 `chowlex.surviving_flags` on a frozenset flag monomial.
+`subset_sum_char_poly` is the signed sum over all of 2^E that the
+no-broken-circuit sum of `Matroid.char_poly` is held against, and
+`graph_bases_by_combinations` the scan of every r-subset of the edges that
+`Matroid.from_graph`'s include/exclude walk is held against.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable, Sequence
 from matchow import Matroid
 from matchow.chowlex import FlagMonomial, _FlatColumns, _view
 from matchow.exact import _as_int_rows
-from matchow.matroid import _subset_mask
+from matchow.matroid import _one_smaller, _subset_mask
 
 
 def chambers(n_elements: int) -> list[tuple[int, ...]]:
@@ -100,3 +104,60 @@ def lex_expand_beta(m: Matroid, mono: FlagMonomial) -> list[FlagMonomial]:
     columns = _FlatColumns(m)
     bottom = _subset_mask(m.n_elements, mono[0]) if mono else columns.full
     return [(_view(columns.masks[i]),) + mono for i in columns.below(bottom)]
+
+
+def subset_sum_char_poly(m: Matroid) -> tuple[int, ...]:
+    """chi(q) as the sum of (-1)^|S| q^(r - rank S) over every subset S.
+
+    The walk decides element 0, 1, ... in turn, depth-first, and carries a
+    greedy maximal independent subset of the chosen elements (independent:
+    inside some basis); its size is the subset's rank because the bases
+    passed the exchange check."""
+    full_rank = m.rank()
+    coeffs = [0] * (full_rank + 1)
+    independent = set(m._masks)
+    layer = independent
+    while layer:
+        layer = _one_smaller(layer)
+        independent |= layer
+
+    def walk(e: int, greedy: int, sign: int) -> None:
+        if e == m.n_elements:
+            coeffs[full_rank - greedy.bit_count()] += sign
+            return
+        walk(e + 1, greedy, sign)
+        grown = greedy | 1 << e
+        walk(e + 1, grown if grown in independent else greedy, -sign)
+
+    walk(0, 0, 1)
+    return tuple(coeffs)
+
+
+def graph_bases_by_combinations(edges: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """The spanning forests of a multigraph: every r-subset of the edge
+    indices that a fresh union-find finds acyclic, r the rank of all edges."""
+    index = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}, key=repr))}
+
+    def forest_rank(subset: Iterable[int]) -> int:
+        parent = list(range(len(index)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        rank = 0
+        for i in subset:
+            u, v = (find(index[w]) for w in edges[i])
+            if u != v:
+                parent[u] = v
+                rank += 1
+        return rank
+
+    full_rank = forest_rank(range(len(edges)))
+    return [
+        subset
+        for subset in itertools.combinations(range(len(edges)), full_rank)
+        if forest_rank(subset) == full_rank
+    ]

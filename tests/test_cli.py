@@ -158,10 +158,15 @@ def test_crosscheck_detects_method_mismatch(capsys, monkeypatch):
     broken = dict(cli.METHODS)
     broken["lex"] = lambda m, k, seed: 999
     monkeypatch.setattr(cli, "METHODS", broken)
-    code, out, _ = run(capsys, "crosscheck", "--uniform", "2", "3")
+    code, out, err = run(capsys, "crosscheck", "--uniform", "2", "3")
     assert code == 5
     assert "MISMATCH" in out
     assert out.rstrip().endswith("FAIL: methods disagree")
+    # the witness: one stderr line per disagreeing k, with both values
+    assert err == (
+        "mismatch at k=0: lex = 999 against whitney = 1\n"
+        "mismatch at k=1: lex = 999 against whitney = 2\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +282,13 @@ U23_BASES = [[0, 1], [0, 2], [1, 2]]
         ("--bases", {"n_elements": 3, "bases": [5]}),
         ("--graph", {"edges": [5]}),
         ("--graph", {"edges": [[0, [1]]]}),
+        ("--bases", {"n_elements": 3, "bases": U23_BASES, "name": "u23"}),
+        ("--graph", {"edges": [[0, 1]], "weights": [1]}),
     ],
     ids=[
         "n-float", "n-bool", "n-string", "n-negative",
         "bases-int", "basis-int", "edge-int", "edge-nested",
+        "bases-unknown-key", "graph-unknown-key",
     ],
 )
 def test_malformed_file_is_exit_2(capsys, tmp_path, flag, payload):
@@ -290,6 +298,19 @@ def test_malformed_file_is_exit_2(capsys, tmp_path, flag, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unknown_file_key_is_named(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    for flag, payload, key in (
+        ("--bases", {"bases": U23_BASES, "n_elements": 3, "rank": 2}, "'rank'"),
+        ("--graph", {"vertices": 3, "edges": [[0, 1]]}, "'vertices'"),
+    ):
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "invariants", flag, str(path))
+        assert (code, out) == (2, ""), flag
+        assert err.startswith("error: ") and err.count("\n") == 1, flag
+        assert f"unknown key {key}" in err, flag
 
 
 def test_unmapped_exception_is_one_line_exit_5(capsys, monkeypatch):

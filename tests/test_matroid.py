@@ -18,13 +18,24 @@ from matchow import (
     LoopPresent,
     Matroid,
     complete_graph_k4,
+    deg_lex,
+    deg_pp,
+    deg_stable,
+    deg_tropical,
+    matroid_fan,
     poly_q_str,
     triangle_with_pendant,
 )
 import matchow.matroid as matroid_module
+from matchow.cli import main
 from matchow.matroid import _members, builtin, descent_set, jordan_holder_word
 
 from conftest import SUITE, SUITE_IDS, SUITE_MATROIDS, view
+from route_reference import graph_bases_by_combinations, subset_sum_char_poly
+
+K5_EDGES = list(itertools.combinations(range(5), 2))
+K6_EDGES = list(itertools.combinations(range(6), 2))
+W5_EDGES = [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +532,23 @@ def test_generated_lattice_matches_combinations_reference(edges):
     for rel in (m, m.dual()):
         _assert_lattice_matches_reference(rel)
 
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_multigraphs)
+def test_generated_graph_bases_match_combinations_scan(edges):
+    # the include/exclude walk finds every spanning forest the scan finds
+    expected = Matroid(len(edges), graph_bases_by_combinations(edges))
+    assert Matroid.from_graph(edges)._masks == expected._masks, edges
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_multigraphs)
+def test_generated_nbc_sum_matches_subset_sum(edges):
+    m = Matroid.from_graph(edges)
+    for rel in (m, m.dual()):
+        assert rel.char_poly() == subset_sum_char_poly(rel), (edges, rel is m)
+
+
 def test_flat_counts_frozen():
     counts = lambda m: [len(level) for level in m.lattice().flats_by_rank]
     assert counts(triangle_with_pendant()) == [1, 4, 4, 1]
@@ -566,6 +594,44 @@ def test_mobius_frozen_values():
     fano = Matroid.fano().lattice()
     assert all(fano.mobius[f] == 2 for f in fano.flats_by_rank[2])
     assert fano.mobius[fano.top] == -8
+
+
+def test_routes_never_build_moebius_values(monkeypatch):
+    # only invariants, the Whitney oracle and the truncation weights read
+    # them; each lattice builds them once, on the first read
+    def refuse(self):
+        raise AssertionError("built the Moebius values")
+
+    real = matroid_module.FlatLattice._moebius_values
+    monkeypatch.setattr(matroid_module.FlatLattice, "_moebius_values", refuse)
+    fresh = [Matroid(m.n_elements, m.bases) for m in SUITE_MATROIDS]
+    fresh += [triangle_with_pendant(), Matroid.from_graph(K5_EDGES), Matroid.uniform(5, 10)]
+    for m in fresh:
+        r = m.rank() - 1
+        matroid_fan(m)
+        for route in (deg_lex, deg_pp, deg_stable, deg_tropical):
+            # U(5,10) takes k = 0 and r only: every k reads the same lattice
+            for k in range(r + 1) if r < 4 else (0, r):
+                route(m, k)
+        assert m.lattice()._mobius is None
+
+    built = []
+    monkeypatch.setattr(
+        matroid_module.FlatLattice,
+        "_moebius_values",
+        lambda self: built.append(self) or real(self),
+    )
+    for argv in (
+        ["invariants", "--builtin", "fano"],
+        ["invariants", "--uniform", "3", "5", "--json"],
+        ["crosscheck", "--builtin", "fig1"],
+        ["crosscheck", "--builtin", "k4", "--skip", "pp", "--json"],
+        ["balancing", "--builtin", "k4"],
+        ["balancing", "--uniform", "3", "5", "--json"],
+    ):
+        built.clear()
+        assert main(argv) == 0, argv
+        assert len(built) == 1, argv
 
 
 def test_mobius_defining_recursion(suite_matroid):
@@ -641,7 +707,7 @@ def test_subset_sum_matches_brute_force(m, monkeypatch):
     for s in _subsets(m):
         expected[r - _rank_brute(m, s)] += (-1) ** len(s)
     fresh = Matroid(m.n_elements, m.bases)
-    # the walk takes ranks from its own greedy subset, not from rank queries
+    # the NBC walk tests independence on the bases, not by rank queries
     real_rank = Matroid.rank
 
     def no_subset_rank(self, subset=None):
@@ -650,6 +716,25 @@ def test_subset_sum_matches_brute_force(m, monkeypatch):
 
     monkeypatch.setattr(Matroid, "rank", no_subset_rank)
     assert fresh.char_poly() == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "m",
+    SUITE_MATROIDS
+    + [
+        triangle_with_pendant(),
+        Matroid.from_graph(K5_EDGES),
+        Matroid.from_graph(W5_EDGES),
+        Matroid.uniform(3, 14),
+        Matroid.uniform(5, 10),
+        Matroid.uniform(7, 14),
+        Matroid.from_graph(K6_EDGES),
+    ],
+    ids=SUITE_IDS + ["fig1", "K5", "W5", "U(3,14)", "U(5,10)", "U(7,14)", "K6"],
+)
+def test_nbc_sum_matches_subset_sum(m):
+    fresh = Matroid(m.n_elements, m.bases)
+    assert fresh.char_poly() == subset_sum_char_poly(fresh)
 
 
 def test_whitney_side_reads_no_hyperplanes(monkeypatch):
