@@ -192,7 +192,6 @@ class FlatLattice:
     """
 
     def __init__(self, matroid: "Matroid"):
-        self.matroid = matroid
         bits = [(1 << e, column) for e, column in enumerate(matroid._hyperplane_columns())]
         levels = [[matroid._loops]]
         # the hyperplane sets of the last level's flats
@@ -414,6 +413,7 @@ class Matroid:
                 i += 1
 
         walk(0)
+        del walk  # walk refers to itself; free the cycle now, not at the next collection
         return cls(len(edges), bases)
 
     @classmethod
@@ -528,6 +528,7 @@ class Matroid:
                         walk(grown, s, -sign)
 
             walk(0, self.n_elements, 1)
+            del walk  # as in from_graph, and it holds the independent family
 
             lat = self.lattice()
             via_mobius = [0] * (full_rank + 1)

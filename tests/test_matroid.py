@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from functools import reduce
@@ -687,6 +688,24 @@ def test_char_poly_is_computed_once(monkeypatch):
     monkeypatch.setattr(Matroid, "rank", counting_rank)
     assert m.char_poly() == first
     assert queries == []
+
+
+def test_construction_and_char_poly_leave_no_cyclic_garbage():
+    # the recursive walks of from_graph and char_poly are freed on return,
+    # and the lattice holds no reference back to its matroid, so a request
+    # leaves nothing for the cycle collector
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = Matroid.from_graph(K5_EDGES)
+        assert gc.collect() == 0
+        m.char_poly()
+        del m
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_char_poly_vanishes_at_one(suite_matroid):
