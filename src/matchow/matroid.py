@@ -35,11 +35,13 @@ The characteristic polynomial is always computed twice, by Whitney's sum
 over the sets that hold no broken circuit and by the Moebius sum over the
 lattice of flats, and the two are asserted equal; callers therefore get a
 value that has already survived one independent cross-check.  The NBC sum
-tests independence by membership in the family of subsets of bases, not by
-the hyperplane columns the lattice is built on, so the two sums share no
-rank code.  The lattice builds its Moebius values on their first read, so
-the degree routes, which read only flats, covers and chains, never pay for
-them.
+reads the bases alone, transposed into one column per element: a set is
+independent iff the AND of its elements' columns is nonzero, that is, iff
+some basis holds it.  It never reads the hyperplane columns the lattice is
+built on, so the two sums share no rank code.  The lattice builds its
+Moebius values on their first read, so the degree routes, which read only
+flats, covers and chains, never pay for them.  No walk in this module is a
+nested function, so none leaves a reference cycle behind.
 """
 
 from __future__ import annotations
@@ -379,41 +381,15 @@ class Matroid:
         # a union-find without path compression, so a union undoes by
         # restoring one parent
         parent = list(range(len(index)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
         full_rank = 0  # the edges of any spanning forest
         for u, v in ends:
-            u, v = find(u), find(v)
+            u, v = _root(parent, u), _root(parent, v)
             if u != v:
                 parent[u] = v
                 full_rank += 1
         parent[:] = range(len(index))
-
-        # include/exclude walk over the edges: an edge is included when it
-        # joins two components, and passed over while enough edges remain
         bases: list[Tuple[int, ...]] = []
-        chosen: list[int] = []
-
-        def walk(i: int) -> None:
-            while len(edges) - i >= full_rank - len(chosen):
-                if len(chosen) == full_rank:
-                    bases.append(tuple(chosen))
-                    return
-                u, v = find(ends[i][0]), find(ends[i][1])
-                if u != v:
-                    parent[u] = v
-                    chosen.append(i)
-                    walk(i + 1)
-                    chosen.pop()
-                    parent[u] = u
-                i += 1
-
-        walk(0)
-        del walk  # walk refers to itself; free the cycle now, not at the next collection
+        _spanning_forests(ends, parent, [], bases, 0, full_rank)
         return cls(len(edges), bases)
 
     @classmethod
@@ -503,33 +479,18 @@ class Matroid:
         An independent S is NBC iff no e outside S lies in the closure of
         the members of S above e.  So the walk goes depth-first, prepending
         smaller elements: it keeps S + s, for s below every member of S, iff
-        S + s and every S + s + e with e < s are independent.  Independence
-        is membership in the family of subsets of bases, never a rank or
-        closure query, so the two sums share no rank code.
+        S + s and every S + s + e with e < s are independent.  The walk,
+        `_nbc_char_poly`, takes the bases alone: a set is independent iff
+        the AND of its elements' basis columns is nonzero, that is, iff some
+        basis holds it.  It makes no rank or closure query and reads neither
+        the cocircuits nor the lattice, so the two sums share no rank code.
         """
         if self._char_poly is not None:
             return self._char_poly
         full_rank = self.rank()
         coeffs = [0] * (full_rank + 1)
         if not self._loops:
-            independent = set(self._masks)
-            layer = independent
-            while layer:
-                layer = _one_smaller(layer)
-                independent |= layer
-
-            def walk(nbc: int, least: int, sign: int) -> None:
-                coeffs[full_rank - nbc.bit_count()] += sign
-                for s in range(least):
-                    grown = nbc | 1 << s
-                    if grown not in independent:
-                        break  # and S + t + s is dependent for every t > s
-                    if all(grown | 1 << e in independent for e in range(s)):
-                        walk(grown, s, -sign)
-
-            walk(0, self.n_elements, 1)
-            del walk  # as in from_graph, and it holds the independent family
-
+            coeffs = _nbc_char_poly(self._masks)
             lat = self.lattice()
             via_mobius = [0] * (full_rank + 1)
             for flat, mu in lat.mobius.items():
@@ -590,7 +551,7 @@ class Matroid:
         """Deletion; a coloop is dropped from every basis instead."""
         _require_element(e, self.n_elements)
         bit = 1 << e
-        if e in self.coloops():
+        if reduce(and_, self._masks) >> e & 1:
             kept = [b ^ bit for b in self._masks]
         else:
             kept = [b for b in self._masks if not b & bit]
@@ -694,6 +655,59 @@ def _check_exchange(masks: Tuple[int, ...]) -> Tuple[int, ...]:
                     f"no exchange for {x} out of "
                     f"{list(_members(b1))} toward {list(_members(b2))}"
                 )
+
+
+def _nbc_char_poly(masks: Sequence[int]) -> list[int]:
+    """chi(q) of a loopless matroid by Whitney's sum over its NBC sets,
+    read from its bases alone; see `Matroid.char_poly`.
+
+    The bases are transposed into one column per element, and each set S
+    on the walk carries `held`, the bitmap of the bases that hold S.  So
+    S + s is independent iff held & column s is nonzero, and each S + s + e
+    is one more AND."""
+    full_rank = masks[0].bit_count()
+    columns = _basis_columns(masks, reduce(or_, masks).bit_length())
+    coeffs = [0] * (full_rank + 1)
+    # (least member of S, or n for the empty set; bases holding S; |S|)
+    stack = [(len(columns), (1 << len(masks)) - 1, 0)]
+    while stack:
+        least, held, size = stack.pop()
+        coeffs[full_rank - size] += -1 if size & 1 else 1
+        for s in range(least):
+            grown = held & columns[s]
+            if not grown:
+                break  # and S + t + s is dependent for every t > s
+            if all(grown & columns[e] for e in range(s)):
+                stack.append((s, grown, size + 1))
+    return coeffs
+
+
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _spanning_forests(ends, parent, chosen, bases, i: int, full_rank: int) -> None:
+    """Append to `bases` every spanning forest, as a tuple of edge indices,
+    that extends the list `chosen` by edges from index i on.
+
+    An include/exclude walk over the edges, the vertex pairs `ends`: an
+    edge is included when it joins two components of the union-find
+    `parent`, and passed over while enough edges remain.  `chosen` and
+    `parent` are restored on return."""
+    while len(ends) - i >= full_rank - len(chosen):
+        if len(chosen) == full_rank:
+            bases.append(tuple(chosen))
+            return
+        u, v = _root(parent, ends[i][0]), _root(parent, ends[i][1])
+        if u != v:
+            parent[u] = v
+            chosen.append(i)
+            _spanning_forests(ends, parent, chosen, bases, i + 1, full_rank)
+            chosen.pop()
+            parent[u] = u
+        i += 1
 
 
 # ---------------------------------------------------------------------------

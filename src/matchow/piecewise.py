@@ -87,8 +87,8 @@ def _rank_table(m: Matroid) -> bytearray:
     """
     size = 1 << m.n_elements
     independent = bytearray(size)
-    for basis in m.bases:
-        independent[sum(1 << e for e in basis)] = 1
+    for mask in m._masks:
+        independent[mask] = 1
     for mask in range(size - 1, 0, -1):
         if independent[mask]:
             rest = mask

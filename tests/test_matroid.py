@@ -669,7 +669,7 @@ def test_char_poly_frozen():
 
 
 def test_char_poly_is_computed_once(monkeypatch):
-    # the first call still cross-checks the subset sum against the Moebius sum
+    # the first call still cross-checks the NBC sum against the Moebius sum
     corrupted = Matroid.fano()
     lat = corrupted.lattice()
     lat.mobius[lat.top] += 1
@@ -691,9 +691,9 @@ def test_char_poly_is_computed_once(monkeypatch):
 
 
 def test_construction_and_char_poly_leave_no_cyclic_garbage():
-    # the recursive walks of from_graph and char_poly are freed on return,
-    # and the lattice holds no reference back to its matroid, so a request
-    # leaves nothing for the cycle collector
+    # the walks of from_graph and char_poly are module-level functions, not
+    # closures that refer to themselves, and the lattice holds no reference
+    # back to its matroid, so a request leaves nothing for the cycle collector
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
@@ -757,8 +757,8 @@ def test_nbc_sum_matches_subset_sum(m):
 
 
 def test_whitney_side_reads_no_hyperplanes(monkeypatch):
-    # with loops only the subset sum runs: it and the loop tests read the
-    # bases, never the hyperplane columns or the lattice the Moebius side uses
+    # with loops chi = 0 and no walk runs: the loop tests read the bases,
+    # never the hyperplane columns or the lattice the Moebius side uses
     def refuse(*args):
         raise AssertionError("read the hyperplane columns or the lattice")
 
@@ -772,6 +772,28 @@ def test_whitney_side_reads_no_hyperplanes(monkeypatch):
         looped.contract(3)
     # contracting edge 0 makes its parallel edge a loop; both loops move down by one
     assert looped.contract(0).loops() == frozenset({2, 3})
+
+
+def test_nbc_walk_reads_only_the_bases(monkeypatch):
+    # on loopless matroids the walk runs, and it takes the bases alone: no
+    # hyperplane columns, no lattice, no family of independent sets
+    matroids = SUITE_MATROIDS + [
+        triangle_with_pendant(),
+        Matroid.from_graph(K5_EDGES),
+        Matroid.uniform(5, 10),
+        Matroid.from_graph(K6_EDGES),
+    ]
+    expected = [subset_sum_char_poly(m) for m in matroids]
+
+    def refuse(*args):
+        raise AssertionError("read the hyperplane columns, the lattice or an independent family")
+
+    monkeypatch.setattr(Matroid, "_hyperplane_columns", refuse)
+    monkeypatch.setattr(matroid_module.FlatLattice, "__init__", refuse)
+    monkeypatch.setattr(matroid_module, "_one_smaller", refuse)
+    for m, chi in zip(matroids, expected):
+        assert tuple(matroid_module._nbc_char_poly(m._masks)) == chi, m
+
 
 def test_reduced_char_poly_and_rendering(fig1):
     assert fig1.reduced_char_poly() == (2, -3, 1)
