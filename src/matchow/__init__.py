@@ -11,9 +11,11 @@ package computes it by four separate routes that share no geometry code:
   deg_stable    stable intersection with displaced skeleton fans
   deg_tropical  iterated tropical divisors of piecewise-linear functions
 
-plus two combinatorial oracles on the matroid itself: the signed subset
-sum / Moebius polynomial (``Matroid.mu``) and counting maximal chains of
-flats by descent set (``Matroid.chains_with_descent_set``).
+plus two combinatorial oracles on the matroid itself: Whitney's sum over
+the no-broken-circuit sets, asserted equal to the Moebius polynomial
+(``Matroid.mu``), and the count of maximal chains of flats by descent set,
+one upward pass over the covers labelled by their least new element
+(``Matroid.chains_with_descent_set``).
 """
 
 from .chowlex import deg_lex

@@ -9,8 +9,9 @@ independent reference that the tests check fan spans and stable points
 against, and it stays here because ``bench/spans.py`` wraps it where stable
 imports it.
 The tests hold ``lattice_index`` against a Smith form of their own.
-Dimensions in this library stay below ten, so the classical O(n^3)
-algorithms with exact pivoting are the right tool.
+Stable reduces 2n - 2 rows of width n - 1 on each hit for a matroid on n
+elements: 40 rows of width 20 on K7.  At that size the classical O(n^3)
+algorithms with exact pivoting are still the right tool.
 """
 
 from __future__ import annotations

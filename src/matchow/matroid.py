@@ -283,25 +283,6 @@ class FlatLattice:
             for g in self.covers_above(chain[-1]) if chain else self.flats_by_rank[lo]:
                 yield chain + (g,)
 
-    def maximal_chains(self) -> Iterator[Chain]:
-        """All chains bottom = F_0 < F_1 < ... < F_rank = top."""
-        return self.chains(0, len(self.flats_by_rank) - 1)
-
-
-def jordan_holder_word(chain: Chain) -> Tuple[int, ...]:
-    """Minimal new element along each cover step of a maximal chain: the
-    lowest bit of g ^ f for each cover f < g."""
-    return tuple(
-        ((g ^ f) & -(g ^ f)).bit_length() - 1 for f, g in zip(chain, chain[1:])
-    )
-
-
-def descent_set(word: Sequence[int]) -> FrozenSet[int]:
-    """Positions i (1-indexed) where the word steps down."""
-    return frozenset(
-        i for i in range(1, len(word)) if word[i - 1] > word[i]
-    )
-
 
 # ---------------------------------------------------------------------------
 # Matroid
@@ -582,6 +563,12 @@ class Matroid:
         Each cover step F < G is labelled min(G - F); position i refers to
         the comparison of labels i and i+1 (1-indexed).  It takes the guard
         of every degree route: the matroid must be loopless of rank >= 1.
+
+        Whether position i is a descent depends only on labels i and i+1,
+        so one upward pass over the covers counts the chains, keeping one
+        count per (flat F, label of the step into F).  A step from rank i
+        to i + 1, from (F, l) to (G, l'), is kept iff (l > l') equals
+        (i in positions).  The answer is the sum at the top.
         """
         positions = tuple(positions)
         r_top = self.degree_rank(0)
@@ -589,11 +576,21 @@ class Matroid:
         if any(type(p) is not int or not 1 <= p <= r_top for p in positions):
             raise KOutOfRange(f"descent positions {list(positions)!r} outside 1..{r_top}")
         wanted = frozenset(positions)
-        count = 0
-        for chain in self.lattice().maximal_chains():
-            if descent_set(jordan_holder_word(chain)) == wanted:
-                count += 1
-        return count
+        lat = self.lattice()
+        # a label is the lowest bit of G - F, ordered as its element; the
+        # bottom's label 0 is below every bit, and 0 is no position, so the
+        # first step is always kept
+        counts = {(lat.bottom, 0): 1}
+        # whether position i is a descent decides the steps from rank i
+        for descent in [i in wanted for i in range(r_top + 1)]:
+            step: Dict[Tuple[int, int], int] = {}
+            for (f, label), count in counts.items():
+                for g in lat.covers_above(f):
+                    low = (g ^ f) & -(g ^ f)
+                    if (label > low) == descent:
+                        step[g, low] = step.get((g, low), 0) + count
+            counts = step
+        return sum(counts.values())
 
     # -- plumbing ---------------------------------------------------------------
 

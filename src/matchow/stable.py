@@ -297,12 +297,15 @@ def stable_intersection_points(
     """All meeting points for one generic displacement pair.
 
     A draw is redrawn when it fails the genericity check or hits a tie.
+    Draw i is seeded seed * 1000003 + i, and when all 32 draws fail, the
+    DegenerateSystem names the seeds they took.
     """
     r = m.degree_rank(k)
     n_el = m.n_elements
     patterns = _tree_patterns(n_el, r, k, m.lattice().chains(1, r))
+    base = seed * 1000003
     for attempt in range(32):
-        a, b = displacement_vectors(n_el, seed * 1000003 + attempt)
+        a, b = displacement_vectors(n_el, base + attempt)
         fa, fb, scale = _scaled(*_check_monotone(n_el, a, b))
         if _coincident_difference(fa, fb):
             continue
@@ -315,7 +318,9 @@ def stable_intersection_points(
             return points, (a, b)
         except DegenerateSystem:
             continue
-    raise DegenerateSystem("no generic displacement pair found after 32 draws")
+    raise DegenerateSystem(
+        f"no generic displacement pair found after 32 draws, seeds {base}..{base + 31}"
+    )
 
 
 def deg_stable(m: Matroid, k: int, seed: int = 0) -> int:

@@ -10,17 +10,20 @@ out the n! chamber sum of `piecewise.deg_pp` in `Fraction`, together with
 no-broken-circuit sum of `Matroid.char_poly` is held against, and
 `graph_bases_by_combinations` the scan of every r-subset of the edges that
 `Matroid.from_graph`'s include/exclude walk is held against.
+`maximal_chains`, `jordan_holder_word` and `descent_set` walk every maximal
+chain of flats and read its label word, the walk that the count over
+labelled covers of `Matroid.chains_with_descent_set` is held against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import FrozenSet, Iterable, Iterator, Sequence
 
 from matchow import Matroid
 from matchow.chowlex import FlagMonomial, _FlatColumns, _view
 from matchow.exact import _as_int_rows
-from matchow.matroid import _one_smaller, _subset_mask
+from matchow.matroid import Chain, FlatLattice, _one_smaller, _subset_mask
 
 
 def chambers(n_elements: int) -> list[tuple[int, ...]]:
@@ -161,3 +164,23 @@ def graph_bases_by_combinations(edges: Sequence[Sequence]) -> list[tuple[int, ..
         for subset in itertools.combinations(range(len(edges)), full_rank)
         if forest_rank(subset) == full_rank
     ]
+
+
+def maximal_chains(lat: FlatLattice) -> Iterator[Chain]:
+    """All chains bottom = F_0 < F_1 < ... < F_rank = top."""
+    return lat.chains(0, len(lat.flats_by_rank) - 1)
+
+
+def jordan_holder_word(chain: Chain) -> tuple[int, ...]:
+    """Minimal new element along each cover step of a maximal chain: the
+    lowest bit of g ^ f for each cover f < g."""
+    return tuple(
+        ((g ^ f) & -(g ^ f)).bit_length() - 1 for f, g in zip(chain, chain[1:])
+    )
+
+
+def descent_set(word: Sequence[int]) -> FrozenSet[int]:
+    """Positions i (1-indexed) where the word steps down."""
+    return frozenset(
+        i for i in range(1, len(word)) if word[i - 1] > word[i]
+    )

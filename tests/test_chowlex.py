@@ -9,10 +9,16 @@ import pytest
 
 from matchow import KOutOfRange, LoopPresent, Matroid, deg_lex, triangle_with_pendant
 from matchow.chowlex import surviving_flags
-from matchow.matroid import FlatLattice, descent_set, jordan_holder_word
+from matchow.matroid import FlatLattice
 
 from conftest import SUITE, SUITE_MATROIDS, relabel, view
-from route_reference import lex_expand_alpha, lex_expand_beta
+from route_reference import (
+    descent_set,
+    jordan_holder_word,
+    lex_expand_alpha,
+    lex_expand_beta,
+    maximal_chains,
+)
 
 fs = frozenset
 
@@ -78,7 +84,7 @@ def _descent_chain_flags(m: Matroid, k: int) -> set:
     """Oracle: proper parts of maximal chains descending exactly at 1..k."""
     wanted = frozenset(range(1, k + 1))
     out = set()
-    for chain in m.lattice().maximal_chains():
+    for chain in maximal_chains(m.lattice()):
         if descent_set(jordan_holder_word(chain)) == wanted:
             out.add(tuple(map(view, chain[1:-1])))
     return out

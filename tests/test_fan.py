@@ -43,6 +43,7 @@ from fan_reference import (
     span_reference,
     walked_stars,
 )
+from route_reference import maximal_chains
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def test_matroid_fan_u23():
 def test_matroid_fan_counts(suite_matroid):
     fan = matroid_fan(suite_matroid)
     lat = suite_matroid.lattice()
-    chains = sum(1 for _ in lat.maximal_chains())
+    chains = sum(1 for _ in maximal_chains(lat))
     assert len(fan.weights) == chains
     assert fan.dim == suite_matroid.rank() - 1
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+from collections import Counter
 from functools import reduce
 from operator import or_
 
@@ -27,12 +28,22 @@ from matchow import (
     poly_q_str,
     triangle_with_pendant,
 )
+import matchow.chowlex as chowlex_module
 import matchow.matroid as matroid_module
+import matchow.piecewise as piecewise_module
+import matchow.stable as stable_module
+import matchow.tropical as tropical_module
 from matchow.cli import main
-from matchow.matroid import _members, builtin, descent_set, jordan_holder_word
+from matchow.matroid import _members, builtin
 
 from conftest import SUITE, SUITE_IDS, SUITE_MATROIDS, view
-from route_reference import graph_bases_by_combinations, subset_sum_char_poly
+from route_reference import (
+    descent_set,
+    graph_bases_by_combinations,
+    jordan_holder_word,
+    maximal_chains,
+    subset_sum_char_poly,
+)
 
 K5_EDGES = list(itertools.combinations(range(5), 2))
 K6_EDGES = list(itertools.combinations(range(6), 2))
@@ -925,7 +936,7 @@ def test_uniform_dual_identities():
 def test_jordan_holder_word_and_descents():
     b3 = Matroid.boolean(3)
     words = sorted(
-        jordan_holder_word(chain) for chain in b3.lattice().maximal_chains()
+        jordan_holder_word(chain) for chain in maximal_chains(b3.lattice())
     )
     assert words == sorted(itertools.permutations(range(3)))
     assert descent_set((1, 0, 2)) == frozenset({1})
@@ -973,7 +984,7 @@ def test_chains_with_descent_set_takes_the_degree_guard():
 def test_descent_counts_partition_all_chains(suite_matroid):
     m = suite_matroid
     lat = m.lattice()
-    total = sum(1 for _ in lat.maximal_chains())
+    total = sum(1 for _ in maximal_chains(lat))
     r = m.rank() - 1
     by_set = 0
     for size in range(r + 1):
@@ -986,3 +997,82 @@ def test_initial_descent_chains_match_mu(suite_matroid):
     m = suite_matroid
     for k in range(m.rank()):
         assert m.chains_with_descent_set(range(1, k + 1)) == m.mu(k)
+
+
+def _walked_descent_counts(m: Matroid) -> Counter:
+    """The reference walk: maximal chains of flats counted by descent set."""
+    return Counter(descent_set(jordan_holder_word(c)) for c in maximal_chains(m.lattice()))
+
+
+def _every_descent_set(m: Matroid) -> list:
+    r = m.rank() - 1
+    return [
+        frozenset(positions)
+        for size in range(r + 1)
+        for positions in itertools.combinations(range(1, r + 1), size)
+    ]
+
+
+@pytest.mark.parametrize(
+    "m",
+    SUITE_MATROIDS
+    + [
+        triangle_with_pendant(),
+        Matroid.from_graph(K5_EDGES),
+        Matroid.uniform(4, 9),
+        Matroid.from_graph(K6_EDGES),
+    ],
+    ids=SUITE_IDS + ["fig1", "K5", "U(4,9)", "K6"],
+)
+def test_cover_count_matches_the_chain_walk(m):
+    walked = _walked_descent_counts(m)
+    for positions in _every_descent_set(m):
+        assert m.chains_with_descent_set(positions) == walked[positions], positions
+
+
+def test_cover_count_reads_only_covers(monkeypatch):
+    # no Moebius values, no chain walk, no char_poly and no route
+    ms = SUITE_MATROIDS + [triangle_with_pendant(), Matroid.from_graph(K5_EDGES)]
+    expected = [[m.chains_with_descent_set(p) for p in _every_descent_set(m)] for m in ms]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain oracle reads covers alone")
+
+    monkeypatch.setattr(matroid_module.FlatLattice, "_moebius_values", refuse)
+    monkeypatch.setattr(matroid_module.FlatLattice, "chains", refuse)
+    monkeypatch.setattr(Matroid, "char_poly", refuse)
+    for module, name in (
+        (chowlex_module, "deg_lex"),
+        (piecewise_module, "deg_pp"),
+        (stable_module, "deg_stable"),
+        (tropical_module, "deg_tropical"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    for m, values in zip(ms, expected):
+        fresh = Matroid(m.n_elements, m.bases)
+        assert [fresh.chains_with_descent_set(p) for p in _every_descent_set(m)] == values
+
+
+def test_initial_descent_chains_match_mu_on_k7():
+    # 56,700 maximal chains, counted without walking them
+    m = Matroid.from_graph(list(itertools.combinations(range(7), 2)))
+    for k in range(6):
+        assert m.chains_with_descent_set(range(1, k + 1)) == m.mu(k)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_multigraphs, st.integers(0, (1 << 7) - 1))
+def test_generated_cover_count_matches_the_chain_walk(edges, drawn):
+    # drawn holds position p iff its bit p - 1 is set
+    m = Matroid.from_graph(edges)
+    for rel in (m, m.dual()):
+        if not rel.is_loopless():
+            with pytest.raises(LoopPresent):
+                rel.chains_with_descent_set(())
+            for e in sorted(rel.loops(), reverse=True):
+                rel = rel.delete(e)
+        if rel.rank() == 0:
+            continue  # the empty ground set, which the degree guard refuses
+        positions = frozenset(p for p in range(1, rel.rank()) if drawn >> (p - 1) & 1)
+        expected = _walked_descent_counts(rel)[positions]
+        assert rel.chains_with_descent_set(positions) == expected, (edges, rel is m, positions)

@@ -22,6 +22,7 @@ from matchow import (
     triangle_with_pendant,
 )
 from matchow.chowlex import surviving_flags
+from matchow.cli import main
 from matchow.exact import hermite_row_reduce, solve_linear
 from matchow.fan import WeightedFan, flag_parts, full_coordinates, matroid_fan
 from matchow.stable import (
@@ -394,6 +395,22 @@ def test_redraw_gives_up_after_32(monkeypatch):
     )
     with pytest.raises(DegenerateSystem, match="32"):
         stable_mod.stable_intersection_points(complete_graph_k4(), 1, seed=0)
+
+
+def test_redraw_exhaustion_names_the_seeds_it_tried(monkeypatch, capsys):
+    monkeypatch.setattr(stable_mod, "_coincident_difference", lambda fa, fb: True)
+    # the draws are seeded seed * 1000003 + 0..31
+    for seed, seeds in ((0, "0..31"), (2, "2000006..2000037")):
+        with pytest.raises(DegenerateSystem) as err:
+            deg_stable(complete_graph_k4(), 1, seed=seed)
+        assert str(err.value) == f"no generic displacement pair found after 32 draws, seeds {seeds}"
+    code = main(["deg", "--builtin", "k4", "--k", "1", "--method", "stable", "--seed", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (5, "")
+    assert err == (
+        "internal cross-assertion failed: no generic displacement pair found after "
+        "32 draws, seeds 2000006..2000037\n"
+    )
 
 
 def test_deg_stable_guards():
