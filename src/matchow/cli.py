@@ -9,6 +9,9 @@ Subcommands:
 Exit codes: 0 success, 2 parse/usage errors, 3 matroid axiom violations,
 4 loops where a loopless matroid is required, 5 value mismatches, failed
 balancing (a certificate cone is printed) or any other internal error.
+Usage errors are argparse's, a k or rank range out of bounds, and a
+`UsageError` from the input boundary: loading the matroid and checking
+crosscheck's --skip.  A ValueError raised anywhere else is internal.
 """
 
 from __future__ import annotations
@@ -65,6 +68,10 @@ def _add_matroid_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class UsageError(Exception):
+    """A bad matroid source or flag, found at the input boundary (exit 2)."""
+
+
 def _refuse_unknown_keys(data: dict, known: tuple, kind: str) -> None:
     for key in data:
         if key not in known:
@@ -72,6 +79,13 @@ def _refuse_unknown_keys(data: dict, known: tuple, kind: str) -> None:
 
 
 def _load_matroid(args) -> tuple[Matroid, str]:
+    try:
+        return _read_matroid(args)
+    except (OSError, ValueError) as exc:
+        raise UsageError(exc) from exc
+
+
+def _read_matroid(args) -> tuple[Matroid, str]:
     if args.builtin:
         return builtin(args.builtin), args.builtin
     if args.uniform:
@@ -174,7 +188,7 @@ def cmd_crosscheck(args) -> int:
     m, name = _load_matroid(args)
     methods = [meth for meth in METHODS if meth not in set(args.skip or [])]
     if len(methods) < 2:
-        raise ValueError("crosscheck needs at least two methods after --skip")
+        raise UsageError("crosscheck needs at least two methods after --skip")
     started = time.perf_counter()
     r = m.rank() - 1
     rows = []
@@ -306,7 +320,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, json.JSONDecodeError, ValueError, KOutOfRange, RangeError) as exc:
+    except (UsageError, KOutOfRange, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EmptyBases, ExchangeViolation) as exc:

@@ -44,12 +44,15 @@ their denominators, a positive scale keeps every sign test, and points come
 back as Fractions.  The span lattices of the skeleton loci are spanned by
 indicator vectors, and the lattice index is computed on every hit.
 
-The complete flags are the lattice's int-mask chains (bit e for element e),
-in the order `FlatLattice.chains(1, r)` hands them out; no matroid fan is
-built.  A pattern is (mask flag, block index of each element, I mask, J
-mask).  The blocks and their least elements come off the mask bits, the
-block index is built only for a flag that keeps a pattern, and frozensets
-are built only for the IntersectionPoint of a hit.
+The enumeration is one walk up the lattice's covers from the bottom, on
+int masks (bit e for element e); no matroid fan is built and no flag is
+listed.  Each step f -> g adds the block g - f, whose least element the
+I and J masks of the prefix may take, and the prefix keeps only the (I, J)
+pairs that can still complete, so a prefix with none left is cut.  At E
+the full pairs go straight to the evaluator, flag by flag in chain order
+and within a flag as itertools.combinations lists I and then J.  The walk
+runs once per draw.  The block index is built only for a flag that keeps a
+pair, and frozensets only for the IntersectionPoint of a hit.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateSystem, NotFullRank
 from .exact import lattice_index
@@ -66,12 +69,10 @@ from .exact import solve_linear  # unused here; bench/spans.py wraps it in this 
 from .fan import FlagCone, MaskFlag, _flag_view, chain_masks, full_coordinates, mask_blocks
 from .fan import mask_image
 from .fan import matroid_fan  # unused here; bench/spans.py wraps it in this namespace
-from .matroid import Matroid, _members, _subset_mask
+from .matroid import FlatLattice, Matroid, _members, _subset_mask
 
 Subset = FrozenSet[int]
 Vector = Tuple[Fraction, ...]
-# (mask flag, block index of each element, I mask, J mask): one candidate triple.
-Pattern = Tuple[MaskFlag, Tuple[int, ...], int, int]
 
 
 def displacement_vectors(n_elements: int, seed: int) -> Tuple[Vector, Vector]:
@@ -110,8 +111,7 @@ def _check_monotone(n_elements: int, a: Vector, b: Vector) -> Tuple[Vector, Vect
 def _scaled(fa: Sequence, fb: Sequence) -> Tuple[List[int], List[int], int]:
     """Full coordinates of a and b times the lcm of their denominators, and that lcm."""
     scale = math.lcm(*(Fraction(x).denominator for x in (*fa, *fb)))
-    ints = [[int(x * scale) for x in v] for v in (fa, fb)]
-    return ints[0], ints[1], scale
+    return [int(x * scale) for x in fa], [int(x * scale) for x in fb], scale
 
 
 def _coincident_difference(fa: Sequence[int], fb: Sequence[int]) -> bool:
@@ -177,13 +177,8 @@ def _potentials(n_nodes: int, edges: Sequence[Tuple[int, int, int]]) -> Optional
 
 
 def _meet(
-    flag: MaskFlag,
-    block: Sequence[int],
-    I: int,
-    J: int,
-    fa: Sequence[int],
-    fb: Sequence[int],
-    scale: int,
+    flag: MaskFlag, block: Sequence[int], I: int, J: int,
+    fa: Sequence[int], fb: Sequence[int], scale: int,
 ) -> Optional[IntersectionPoint]:
     """The evaluator behind intersect_triple and the enumeration.
 
@@ -260,35 +255,46 @@ def intersect_triple(
     return _meet(masks, _element_blocks(n_el, mask_blocks(n_el, masks)), I, J, fa, fb, scale)
 
 
-def _tree_patterns(n_elements: int, r: int, k: int, flags: Iterable[MaskFlag]) -> List[Pattern]:
-    """Every triple that survives the draw-independent pruning, in enumeration order.
+def _walk(
+    lat: FlatLattice, f: int, flag: MaskFlag, pairs: List[Tuple[int, int]],
+    sizes: Tuple[int, int], draw: tuple, points: List[IntersectionPoint],
+) -> None:
+    """Meet every tree pattern on the complete flags that extend flag.
 
-    Per flag: I takes the smallest element of each of r-k+1 blocks, with
-    these increasing along the flag; J takes the smallest element of the
-    other k blocks and of one of I's, with these decreasing along the flag.
-    Flags keep their order, and within a flag the triples are sorted as
-    itertools.combinations would list I and then J.  A block's least element
-    is kept as its bit, which orders as the element does.
+    flag is the chain of flats stepped through above the bottom, ending in
+    f, and pairs holds the (I, J) masks of its prefix that can still
+    complete.  A step f -> g adds its block's least element, kept as its
+    bit: I takes it only above all its members and J only below all of
+    theirs, each up to its size, and the two may share one block.  At E the
+    pairs of full size go to _meet with draw, its (fa, fb, scale), sorted as
+    itertools.combinations would list I and then J; hits are appended to
+    points.
     """
-    patterns: List[Pattern] = []
-    for flag in flags:
-        blocks = mask_blocks(n_elements, flag)
-        lows = [part & -part for part in blocks]
-        found = []
-        for chosen in itertools.combinations(range(r + 1), r - k + 1):
-            I = [lows[p] for p in chosen]
-            if any(s >= t for s, t in zip(I, I[1:])):
-                continue
-            rest = [p for p in range(r + 1) if p not in chosen]
-            for shared in chosen:
-                J = [lows[p] for p in sorted((*rest, shared))]
-                if all(u > v for u, v in zip(J, J[1:])):
-                    found.append((tuple(I), tuple(reversed(J))))
-        if found:
-            found.sort()
-            block = _element_blocks(n_elements, blocks)
-            patterns += [(flag, block, sum(I), sum(J)) for I, J in found]
-    return patterns
+    if f == lat.top:
+        done = [(I, J) for I, J in pairs if (I.bit_count(), J.bit_count()) == sizes]
+        if done:
+            chain, n_el = flag[:-1], f.bit_length()
+            block = _element_blocks(n_el, mask_blocks(n_el, chain))
+            for I, J in sorted(done, key=lambda p: (_members(p[0]), _members(p[1]))):
+                hit = _meet(chain, block, I, J, *draw)
+                if hit is not None:
+                    points.append(hit)
+        return
+    n_i, n_j = sizes
+    for g in lat.covers_above(f):
+        low = (g ^ f) & -(g ^ f)
+        kept = []
+        for I, J in pairs:
+            to_i = I < low and I.bit_count() < n_i
+            to_j = not J & (2 * low - 1) and J.bit_count() < n_j
+            if to_i:
+                kept.append((I | low, J))
+            if to_j:
+                kept.append((I, J | low))
+            if to_i and to_j and not I & J:
+                kept.append((I | low, J | low))
+        if kept:
+            _walk(lat, g, (*flag, g), kept, sizes, draw, points)
 
 
 def stable_intersection_points(
@@ -302,7 +308,7 @@ def stable_intersection_points(
     """
     r = m.degree_rank(k)
     n_el = m.n_elements
-    patterns = _tree_patterns(n_el, r, k, m.lattice().chains(1, r))
+    lat = m.lattice()
     base = seed * 1000003
     for attempt in range(32):
         a, b = displacement_vectors(n_el, base + attempt)
@@ -310,11 +316,8 @@ def stable_intersection_points(
         if _coincident_difference(fa, fb):
             continue
         try:
-            points = []
-            for pattern in patterns:
-                hit = _meet(*pattern, fa, fb, scale)
-                if hit is not None:
-                    points.append(hit)
+            points: List[IntersectionPoint] = []
+            _walk(lat, lat.bottom, (), [(0, 0)], (r - k + 1, k + 1), (fa, fb, scale), points)
             return points, (a, b)
         except DegenerateSystem:
             continue

@@ -326,6 +326,22 @@ def test_unmapped_exception_is_one_line_exit_5(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: unexpected\n"
 
 
+def test_value_error_inside_a_route_is_internal_exit_5(capsys, monkeypatch):
+    # only the input boundary maps ValueError to a usage error
+    def fail(m, k, seed):
+        raise ValueError("bad displacement")
+
+    monkeypatch.setitem(cli.METHODS, "lex", fail)
+    for args in (
+        ("deg", "--uniform", "2", "3", "--k", "0", "--method", "lex"),
+        ("crosscheck", "--uniform", "2", "3"),
+    ):
+        code, out, err = run(capsys, *args)
+        assert code == 5, args
+        assert out == "", args
+        assert err == "internal error: ValueError: bad displacement\n", args
+
+
 def test_empty_ground_set_invariants(capsys):
     code, out, err = run(capsys, "invariants", "--uniform", "0", "0")
     assert code == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from matchow.chowlex import surviving_flags
 from matchow.cli import main
 from matchow.exact import hermite_row_reduce, solve_linear
 from matchow.fan import WeightedFan, flag_parts, full_coordinates, matroid_fan
+from matchow.matroid import FlatLattice
 from matchow.stable import (
     _check_monotone,
     _coincident_difference,
@@ -312,11 +314,13 @@ def test_deg_stable_matches_mu(suite_matroid, fig1):
 
 
 def test_deg_stable_walks_the_lattice_chains(monkeypatch, suite_matroid, fig1):
-    # deg_stable reads the lattice's mask chains as they come: it builds no
-    # matroid fan, sorts no cones and splits no flag into frozenset blocks
+    # deg_stable walks the lattice's covers on masks: it lists no chains,
+    # builds no matroid fan, sorts no cones and splits no flag into
+    # frozenset blocks
     def refuse(*args):
-        raise AssertionError("deg_stable left the lattice's mask chains")
+        raise AssertionError("deg_stable left the lattice's covers")
 
+    monkeypatch.setattr(FlatLattice, "chains", refuse)
     monkeypatch.setattr(WeightedFan, "cones", refuse)
     monkeypatch.setattr(fan_mod, "flag_parts", refuse)
     monkeypatch.setattr(stable_mod, "matroid_fan", refuse)
@@ -331,11 +335,34 @@ def test_deg_stable_walks_the_lattice_chains(monkeypatch, suite_matroid, fig1):
         Matroid.uniform(4, 8),
         Matroid.from_graph(list(itertools.combinations(range(5), 2))),
         Matroid.uniform(4, 9),
+        Matroid.from_graph(list(itertools.combinations(range(6), 2))),
     ],
-    ids=["uniform(4,8)", "K5", "uniform(4,9)"],
+    ids=["uniform(4,8)", "K5", "uniform(4,9)", "K6"],
 )
 def test_deg_stable_matches_mu_on_larger_matroids(m):
     assert [deg_stable(m, k) for k in range(m.rank())] == list(m.mu_vector())
+
+
+def test_deg_stable_matches_mu_on_k7():
+    # the first two k of K7 (56,700 complete flags) stay quick under the walk
+    m = Matroid.from_graph(list(itertools.combinations(range(7), 2)))
+    for k in (0, 1):
+        assert deg_stable(m, k) == m.mu(k)
+
+
+def test_deg_stable_leaves_no_cyclic_garbage():
+    # the walk is a module-level function, not a closure that refers to
+    # itself, so no call leaves anything for the cycle collector
+    m = Matroid.from_graph(list(itertools.combinations(range(5), 2)))
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert [deg_stable(m, k) for k in range(m.rank())] == list(m.mu_vector())
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_deg_stable_seed_invariance():
