@@ -309,19 +309,21 @@ class Matroid:
             raise ValueError(f"n_elements={n_elements!r} is not an integer")
         if n_elements < 0:
             raise ValueError(f"n_elements={n_elements} is negative")
-        masks = []
+        masks = set()
         for b in bases:
             b = tuple(b)
             mask = _subset_mask(n_elements, b)
             if mask.bit_count() != len(b):
                 raise ValueError(f"basis {list(b)} lists an element twice")
-            masks.append(mask)
+            if mask in masks:
+                raise ValueError(f"basis {list(_members(mask))} is listed twice")
+            masks.add(mask)
         if not masks:
             raise EmptyBases("a matroid needs at least one basis")
         sizes = {mask.bit_count() for mask in masks}
         if len(sizes) != 1:
             raise ExchangeViolation(f"bases of unequal size: {sorted(sizes)}")
-        self._masks: Tuple[int, ...] = tuple(sorted(set(masks)))
+        self._masks: Tuple[int, ...] = tuple(sorted(masks))
         self._cocircuits: Tuple[int, ...] = _check_exchange(self._masks)
         self.n_elements = n_elements
         self._loops = ((1 << n_elements) - 1) & ~reduce(or_, self._masks)

@@ -134,8 +134,9 @@ def truncation_weight(m: Matroid, r1: int, r2: int) -> WeightedFan:
     if not m.is_loopless():
         raise LoopPresent("truncation weights need a loopless matroid")
     r = m.rank() - 1
-    if not (1 <= r1 <= r2 <= r):
-        raise RangeError(f"rank window [{r1}, {r2}] outside 1 <= r1 <= r2 <= {r}")
+    # type() rather than isinstance(), as degree_rank gates k: no float or bool bound
+    if type(r1) is not int or type(r2) is not int or not 1 <= r1 <= r2 <= r:
+        raise RangeError(f"rank window [{r1!r}, {r2!r}] outside 1 <= r1 <= r2 <= {r}")
     lat = m.lattice()
     weights = {c: abs(lat.mobius[c[0]]) for c in lat.chains(r1, r2)}
     return WeightedFan._from_masks(m.n_elements, r2 - r1 + 1, weights)

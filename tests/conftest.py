@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 from matchow import Matroid, complete_graph_k4, triangle_with_pendant
 from matchow.matroid import _members
@@ -39,6 +40,9 @@ def swap(n_elements: int, i: int, j: int) -> list[int]:
     perm[i], perm[j] = j, i
     return perm
 
+
+# multigraphs on five vertices with at most 8 edges, loops and parallel edges included
+MULTIGRAPHS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8)
 
 SUITE = suite_matroids()
 SUITE_IDS = [name for name, _ in SUITE]

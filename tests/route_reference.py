@@ -4,8 +4,11 @@
 hold `exact.lattice_index` against.  `chambers` and `greedy_basis` spell
 out the n! chamber sum of `piecewise.deg_pp` in `Fraction`, together with
 `piecewise.chamber_denominator` and `piecewise.generic_point`.
-`lex_expand_alpha` and `lex_expand_beta` take one expansion step of
-`chowlex.surviving_flags` on a frozenset flag monomial.
+`lex_reference_flags` lists the complete flags that `chowlex.deg_lex`
+counts: it expands beta^k alpha^(r-k) from the empty flag on frozenset
+flag monomials, testing every monomial of a layer against every proper
+flat.  `lex_expand_alpha` and `lex_expand_beta` take one expansion step of
+the same expansion through `chowlex._FlatColumns`' candidate sets.
 `subset_sum_char_poly` is the signed sum over all of 2^E that the
 no-broken-circuit sum of `Matroid.char_poly` is held against, and
 `graph_bases_by_combinations` the scan of every r-subset of the edges that
@@ -18,12 +21,14 @@ labelled covers of `Matroid.chains_with_descent_set` is held against.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, Iterator, Sequence
+from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
 
 from matchow import Matroid
-from matchow.chowlex import FlagMonomial, _FlatColumns, _view
+from matchow.chowlex import _FlatColumns
 from matchow.exact import _as_int_rows
-from matchow.matroid import Chain, FlatLattice, _one_smaller, _subset_mask
+from matchow.matroid import Chain, FlatLattice, _members, _one_smaller, _subset_mask
+
+FlagMonomial = Tuple[FrozenSet[int], ...]
 
 
 def chambers(n_elements: int) -> list[tuple[int, ...]]:
@@ -95,18 +100,44 @@ def smith_invariant_factors(rows: Iterable[Sequence[int]]) -> list[int]:
     return factors
 
 
+def _view(mask: int) -> FrozenSet[int]:
+    return frozenset(_members(mask))
+
+
+def lex_reference_flags(m: Matroid, k: int) -> list[FlagMonomial]:
+    """The frozenset all-flats scan: every monomial of a layer is tested
+    against every proper flat, in the lattice's order."""
+    flats = [_view(f) for f in m.lattice().proper_nonempty_flats()]
+    layer: list[FlagMonomial] = [()]
+    for _ in range(k):
+        grown = []
+        for mono in layer:
+            bottom = mono[0] if mono else frozenset(m.elements)
+            allowed = bottom - {min(bottom)}
+            grown += [(flat,) + mono for flat in flats if flat <= allowed]
+        layer = grown
+    for _ in range(m.rank() - 1 - k):
+        grown = []
+        for mono in layer:
+            top = mono[-1] if mono else frozenset()
+            needed = top | {next(e for e in m.elements if e not in top)}
+            grown += [mono + (flat,) for flat in flats if needed <= flat]
+        layer = grown
+    return layer
+
+
 def lex_expand_alpha(m: Matroid, mono: FlagMonomial) -> list[FlagMonomial]:
     """Append one flat: candidates contain top(mono) plus its least absentee."""
     columns = _FlatColumns(m)
     top = _subset_mask(m.n_elements, mono[-1]) if mono else 0
-    return [mono + (_view(columns.masks[i]),) for i in columns.above(top)]
+    return [mono + (_view(flat),) for flat in columns.above(top)]
 
 
 def lex_expand_beta(m: Matroid, mono: FlagMonomial) -> list[FlagMonomial]:
     """Prepend one flat: candidates avoid the least element of bottom(mono)."""
     columns = _FlatColumns(m)
     bottom = _subset_mask(m.n_elements, mono[0]) if mono else columns.full
-    return [(_view(columns.masks[i]),) + mono for i in columns.below(bottom)]
+    return [(_view(flat),) + mono for flat in columns.below(bottom)]
 
 
 def subset_sum_char_poly(m: Matroid) -> tuple[int, ...]:

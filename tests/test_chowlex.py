@@ -1,4 +1,5 @@
-"""Lexicographic flag-monomial expansion."""
+"""Lexicographic flag-monomial expansion: `deg_lex` counts the complete
+flags that the reference expansion lists."""
 
 from __future__ import annotations
 
@@ -6,17 +7,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from matchow import KOutOfRange, LoopPresent, Matroid, deg_lex, triangle_with_pendant
-from matchow.chowlex import surviving_flags
 from matchow.matroid import FlatLattice
 
-from conftest import SUITE, SUITE_MATROIDS, relabel, view
+from conftest import MULTIGRAPHS, SUITE, SUITE_MATROIDS, relabel, view
 from route_reference import (
     descent_set,
     jordan_holder_word,
     lex_expand_alpha,
     lex_expand_beta,
+    lex_reference_flags,
     maximal_chains,
 )
 
@@ -67,16 +69,17 @@ def test_beta_expansion_shrinks_bottom():
 
 def test_surviving_flags_boolean3():
     b3 = Matroid.boolean(3)
-    assert surviving_flags(b3, 0) == [(fs({0}), fs({0, 1}))]
-    assert sorted(surviving_flags(b3, 1), key=str) == sorted(
+    assert lex_reference_flags(b3, 0) == [(fs({0}), fs({0, 1}))]
+    assert sorted(lex_reference_flags(b3, 1), key=str) == sorted(
         [(fs({1}), fs({0, 1})), (fs({2}), fs({0, 2}))], key=str
     )
-    assert surviving_flags(b3, 2) == [(fs({2}), fs({1, 2}))]
+    assert lex_reference_flags(b3, 2) == [(fs({2}), fs({1, 2}))]
+    assert [deg_lex(b3, k) for k in range(3)] == [1, 2, 1]
 
 
 def test_surviving_flags_are_distinct(suite_matroid):
     for k in range(suite_matroid.rank()):
-        flags = surviving_flags(suite_matroid, k)
+        flags = lex_reference_flags(suite_matroid, k)
         assert len(flags) == len(set(flags))
 
 
@@ -93,7 +96,7 @@ def _descent_chain_flags(m: Matroid, k: int) -> set:
 def test_surviving_flags_match_descent_chains(suite_matroid):
     m = suite_matroid
     for k in range(m.rank()):
-        assert set(surviving_flags(m, k)) == _descent_chain_flags(m, k)
+        assert set(lex_reference_flags(m, k)) == _descent_chain_flags(m, k)
 
 
 def test_deg_lex_matches_mu(suite_matroid, fig1):
@@ -119,28 +122,6 @@ def test_fig1_deg_vector(fig1):
     assert [deg_lex(fig1, k) for k in range(3)] == [1, 3, 2]
 
 
-def _reference_flags(m: Matroid, k: int) -> list:
-    """The frozenset all-flats scan: every monomial of a layer is tested
-    against every proper flat, in the lattice's order."""
-    flats = [view(f) for f in m.lattice().proper_nonempty_flats()]
-    layer = [()]
-    for _ in range(k):
-        grown = []
-        for mono in layer:
-            bottom = mono[0] if mono else frozenset(m.elements)
-            allowed = bottom - {min(bottom)}
-            grown += [(flat,) + mono for flat in flats if flat <= allowed]
-        layer = grown
-    for _ in range(m.rank() - 1 - k):
-        grown = []
-        for mono in layer:
-            top = mono[-1] if mono else frozenset()
-            needed = top | {next(e for e in m.elements if e not in top)}
-            grown += [mono + (flat,) for flat in flats if needed <= flat]
-        layer = grown
-    return layer
-
-
 RELABELLED_CASES = SUITE + [("fig1", triangle_with_pendant()), ("K5", K5)]
 REFERENCE_CASES = RELABELLED_CASES + [
     ("W5", W5),
@@ -156,12 +137,12 @@ REFERENCE_CASES = RELABELLED_CASES + [
 )
 def test_surviving_flags_equal_the_reference_scan(m):
     for k in range(m.rank()):
-        assert surviving_flags(m, k) == _reference_flags(m, k), k
+        assert deg_lex(m, k) == len(lex_reference_flags(m, k)), k
 
 
 def test_surviving_flags_equal_the_reference_scan_on_k6():
     k6 = complete_graph(6)
-    assert surviving_flags(k6, 2) == _reference_flags(k6, 2)
+    assert deg_lex(k6, 2) == len(lex_reference_flags(k6, 2))
 
 
 @pytest.mark.parametrize(
@@ -172,7 +153,25 @@ def test_surviving_flags_equal_the_reference_scan_relabelled(m):
         perm = random.Random(seed).sample(m.elements, m.n_elements)
         relabelled = relabel(m, perm)
         for k in range(m.rank()):
-            assert surviving_flags(relabelled, k) == _reference_flags(relabelled, k), (perm, k)
+            assert deg_lex(relabelled, k) == len(lex_reference_flags(relabelled, k)), (perm, k)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(MULTIGRAPHS)
+def test_generated_deg_lex_counts_the_reference_flags(edges):
+    m = Matroid.from_graph(edges)
+    for rel in (m, m.dual()):
+        if not rel.is_loopless():
+            with pytest.raises(LoopPresent):
+                deg_lex(rel, 0)
+            continue
+        for k in range(rel.rank()):
+            assert deg_lex(rel, k) == len(lex_reference_flags(rel, k)), (edges, rel is m, k)
+
+
+def test_deg_lex_matches_mu_on_k7():
+    k7 = complete_graph(7)
+    assert [deg_lex(k7, k) for k in range(k7.rank())] == [k7.mu(k) for k in range(k7.rank())]
 
 
 def test_deg_lex_scans_the_proper_flats_once(monkeypatch):

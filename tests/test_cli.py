@@ -268,6 +268,16 @@ def test_bases_repeated_element_is_exit_2(capsys, tmp_path):
     assert err == "error: basis [0, 0] lists an element twice\n"
 
 
+@pytest.mark.parametrize("bases", [[[0, 1], [0, 1]], [[0, 1], [1, 0]]])
+def test_bases_repeated_basis_is_exit_2(capsys, tmp_path, bases):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"n_elements": 2, "bases": bases}))
+    code, out, err = run(capsys, "invariants", "--bases", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: basis [0, 1] is listed twice\n"
+
+
 U23_BASES = [[0, 1], [0, 2], [1, 2]]
 
 

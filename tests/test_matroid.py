@@ -36,7 +36,7 @@ import matchow.tropical as tropical_module
 from matchow.cli import main
 from matchow.matroid import _members, builtin
 
-from conftest import SUITE, SUITE_IDS, SUITE_MATROIDS, view
+from conftest import MULTIGRAPHS, SUITE, SUITE_IDS, SUITE_MATROIDS, view
 from route_reference import (
     descent_set,
     graph_bases_by_combinations,
@@ -308,6 +308,16 @@ def test_bool_and_repeated_elements_rejected():
         Matroid.boolean(False)
 
 
+def test_repeated_basis_rejected():
+    # a basis listed twice, in the same or another order, is malformed input,
+    # not a matroid with one basis fewer; the message names it ascending
+    for bases in ([[0, 1], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [0, 2], [1, 0]]):
+        with pytest.raises(ValueError, match=r"^basis \[0, 1\] is listed twice$"):
+            Matroid(3, bases)
+    with pytest.raises(ValueError, match="listed twice"):
+        Matroid(0, [[], []])
+
+
 def test_rank_zero_has_no_reduced_polynomial():
     empty = Matroid(0, [[]])
     assert empty.is_loopless()
@@ -522,12 +532,8 @@ def _assert_lattice_matches_reference(m: Matroid) -> None:
     assert [view(f) for f in lat.proper_nonempty_flats()] == proper
 
 
-# multigraphs on five vertices with at most 8 edges, loops and parallel edges included
-_multigraphs = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8)
-
-
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(_multigraphs)
+@given(MULTIGRAPHS)
 def test_generated_closure_matches_rank_brute_force(edges):
     m = Matroid.from_graph(edges)
     for rel in (m, m.dual()):
@@ -538,7 +544,7 @@ def test_generated_closure_matches_rank_brute_force(edges):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_multigraphs)
+@given(MULTIGRAPHS)
 def test_generated_lattice_matches_combinations_reference(edges):
     m = Matroid.from_graph(edges)
     for rel in (m, m.dual()):
@@ -546,7 +552,7 @@ def test_generated_lattice_matches_combinations_reference(edges):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(_multigraphs)
+@given(MULTIGRAPHS)
 def test_generated_graph_bases_match_combinations_scan(edges):
     # the include/exclude walk finds every spanning forest the scan finds
     expected = Matroid(len(edges), graph_bases_by_combinations(edges))
@@ -554,7 +560,7 @@ def test_generated_graph_bases_match_combinations_scan(edges):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(_multigraphs)
+@given(MULTIGRAPHS)
 def test_generated_nbc_sum_matches_subset_sum(edges):
     m = Matroid.from_graph(edges)
     for rel in (m, m.dual()):
@@ -1061,7 +1067,7 @@ def test_initial_descent_chains_match_mu_on_k7():
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(_multigraphs, st.integers(0, (1 << 7) - 1))
+@given(MULTIGRAPHS, st.integers(0, (1 << 7) - 1))
 def test_generated_cover_count_matches_the_chain_walk(edges, drawn):
     # drawn holds position p iff its bit p - 1 is set
     m = Matroid.from_graph(edges)

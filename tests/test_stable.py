@@ -22,7 +22,6 @@ from matchow import (
     stable_intersection_points,
     triangle_with_pendant,
 )
-from matchow.chowlex import surviving_flags
 from matchow.cli import main
 from matchow.exact import hermite_row_reduce, solve_linear
 from matchow.fan import WeightedFan, flag_parts, full_coordinates, matroid_fan
@@ -36,6 +35,7 @@ from matchow.stable import (
 )
 
 from conftest import SUITE_IDS, SUITE_MATROIDS
+from route_reference import lex_reference_flags
 
 fs = frozenset
 
@@ -252,7 +252,7 @@ def test_intersection_flags_match_lex_survivors(suite_matroid):
         points = _points(m, k)
         flags = [p.flag for p in points]
         assert len(flags) == len(set(flags))
-        assert set(flags) == set(surviving_flags(m, k))
+        assert set(flags) == set(lex_reference_flags(m, k))
 
 
 def test_intersection_part_structure(suite_matroid):

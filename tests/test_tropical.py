@@ -366,6 +366,15 @@ def test_truncation_weight_window_validation(fig1):
         truncation_weight(looped, 1, 1)
 
 
+def test_truncation_weight_bounds_must_be_ints():
+    # no float and no bool stands in for a rank, as in degree_rank's gate on k
+    fano = Matroid.fano()
+    for r1, r2 in ((1, 2.0), (1.0, 2), (True, 2), (1, True), (1, "2")):
+        with pytest.raises(RangeError, match=r"^rank window \["):
+            truncation_weight(fano, r1, r2)
+    assert truncation_weight(fano, 1, 2) == matroid_fan(fano)
+
+
 def test_alpha_trims_window_from_above(suite_matroid):
     m = suite_matroid
     r = m.rank() - 1
