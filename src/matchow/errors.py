@@ -32,7 +32,7 @@ class KOutOfRange(MatchowError):
 
 
 class RangeError(MatchowError):
-    """A rank range [r1, r2] is outside the valid window."""
+    """A rank range [r1, r2] is outside the valid window, or a seed is not an int."""
 
 
 class NotFullRank(MatchowError):

@@ -9,8 +9,8 @@ independent reference that the tests check fan spans and stable points
 against, and it stays here because ``bench/spans.py`` wraps it where stable
 imports it.
 The tests hold ``lattice_index`` against a Smith form of their own.
-Stable reduces 2n - 2 rows of width n - 1 on each hit for a matroid on n
-elements: 40 rows of width 20 on K7.  At that size the classical O(n^3)
+Stable reduces r + n - 1 rows of width n - 1 on each hit for a matroid of
+rank r + 1 on n elements: 25 rows of width 20 on K7.  At that size the classical O(n^3)
 algorithms with exact pivoting are still the right tool.
 """
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Tuple
 
-from .errors import DegeneratePoint
+from .errors import DegeneratePoint, RangeError
 from .matroid import Matroid
 
 Perm = Tuple[int, ...]
@@ -156,9 +156,12 @@ def deg_pp(m: Matroid, k: int, seed: int = 0) -> int:
     The n! chamber sum is a dynamic program over prefix sets (see the module
     docstring): n^2 * 2^n steps on a table of 2^n * n residues.  It runs at
     two points drawn from `seed`, one modulo each prime, and the two
-    readings in (-p/2, p/2) must agree.
+    readings in (-p/2, p/2) must agree.  A seed that is not an int (a
+    float, a bool or None) raises RangeError.
     """
     r = m.degree_rank(k)
+    if type(seed) is not int:
+        raise RangeError(f"seed={seed!r} is not an int")
     n = m.n_elements
     rank = _rank_table(m)
     rng = random.Random(seed)

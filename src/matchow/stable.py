@@ -33,24 +33,37 @@ The enumeration passes it only the triples that can hit:
   difference a_s - a_t (s != t) equals a difference b_u - b_v (u != v).
   Each draw is checked for that once, and one that fails is redrawn, like
   a draw that produces a tie.
-* Pruning, independent of the draw.  Inside a block the skeleton
-  inequalities compare only a (or only b), so the member of I in a block is
-  its smallest element (a decreases), and so is the member of J (b
-  increases).  The point decreases strictly along the flag, so I's members
-  must increase in element order along the flag and J's must decrease.
+* Falling block values.  Inside a block the skeleton inequalities compare
+  only a (or only b), so the member of I in a block is its least element
+  (a decreases), and so is the member of J (b increases).  On a tree
+  pattern every block holds a member, so a block whose I member is s has
+  the value c_I + a_s, and one whose J member is u has c_J + b_u.  The
+  full a and b have a_0 = b_0 = 0, so b_x - a_x is 0 at x = 0 and strictly
+  increases in x.  The skeleton walls hold iff c_I - c_J < b_x - a_x for
+  the least element x of every block but the shared one, and the shared
+  block, with least element x0, fixes c_I - c_J = b_x0 - a_x0.  So a hit
+  shares the block that holds element 0, with c_I = c_J.  The flag walls
+  then ask that the draw's own values fall strictly along the flag: a_s
+  on an I block, b_u on a J block and 0 on the shared one.  Off element 0,
+  a is negative and b positive, each strictly monotone, so two of these
+  values never tie and the rule cuts only strict failures.  It reads only
+  the draw, and the J blocks come before the shared one and the I blocks
+  after it, so each flag keeps at most one pattern.
 
 Block values are integer potentials: a and b are scaled by the lcm of
 their denominators, a positive scale keeps every sign test, and points come
 back as Fractions.  The span lattices of the skeleton loci are spanned by
-indicator vectors, and the lattice index is computed on every hit.
+indicator vectors.  Their sum is the lattice of vectors constant on I & J,
+since e_{I&J} = e_I - sum of e_g over g in I - J, so one generator set
+serves both, and the lattice index is computed on every hit.
 
 The enumeration is one walk up the lattice's covers from the bottom, on
 int masks (bit e for element e); no matroid fan is built and no flag is
 listed.  Each step f -> g adds the block g - f, whose least element the
-I and J masks of the prefix may take, and the prefix keeps only the (I, J)
-pairs that can still complete, so a prefix with none left is cut.  At E
-the full pairs go straight to the evaluator, flag by flag in chain order
-and within a flag as itertools.combinations lists I and then J.  The walk
+(I, J) pairs of the prefix may take by the rule above.  A pair carries the
+value of its last block, and a prefix with no pair left is cut.  The r+1
+blocks hand out r+2 members, so every pair that reaches E is full and
+goes straight to the evaluator, flag by flag in chain order.  The walk
 runs once per draw.  The block index is built only for a flag that keeps a
 pair, and frozensets only for the IntersectionPoint of a hit.
 """
@@ -63,7 +76,7 @@ import random
 from fractions import Fraction
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DegenerateSystem, NotFullRank
+from .errors import DegenerateSystem, NotFullRank, RangeError
 from .exact import lattice_index
 from .exact import solve_linear  # unused here; bench/spans.py wraps it in this namespace
 from .fan import FlagCone, MaskFlag, _flag_view, chain_masks, full_coordinates, mask_blocks
@@ -215,7 +228,7 @@ def _meet(
 
     n_el = len(block)
     generators = [mask_image(n_el, s) for s in flag]
-    generators += _span_generators(n_el, I) + _span_generators(n_el, J)
+    generators += _span_generators(n_el, I & J)
     try:
         index = lattice_index(generators, n_el - 1)
     except NotFullRank as exc:
@@ -256,43 +269,38 @@ def intersect_triple(
 
 
 def _walk(
-    lat: FlatLattice, f: int, flag: MaskFlag, pairs: List[Tuple[int, int]],
+    lat: FlatLattice, f: int, flag: MaskFlag, pairs: List[Tuple[int, int, float]],
     sizes: Tuple[int, int], draw: tuple, points: List[IntersectionPoint],
 ) -> None:
     """Meet every tree pattern on the complete flags that extend flag.
 
     flag is the chain of flats stepped through above the bottom, ending in
-    f, and pairs holds the (I, J) masks of its prefix that can still
-    complete.  A step f -> g adds its block's least element, kept as its
-    bit: I takes it only above all its members and J only below all of
-    theirs, each up to its size, and the two may share one block.  At E the
-    pairs of full size go to _meet with draw, its (fa, fb, scale), sorted as
-    itertools.combinations would list I and then J; hits are appended to
-    points.
+    f, and pairs holds the (I, J, last) of its prefix that can still hit:
+    masks I and J and the draw's value on the prefix's last block.  A step
+    f -> g adds its block's least element x, kept as its bit: for x > 0, I
+    may take it at value fa[x] or J at value fb[x], and for x = 0 both take
+    it at value 0, each only below last and up to its size.  At E every
+    pair is full and at most one is left, so it goes to _meet with draw,
+    its (fa, fb, scale); hits are appended to points.
     """
     if f == lat.top:
-        done = [(I, J) for I, J in pairs if (I.bit_count(), J.bit_count()) == sizes]
-        if done:
-            chain, n_el = flag[:-1], f.bit_length()
-            block = _element_blocks(n_el, mask_blocks(n_el, chain))
-            for I, J in sorted(done, key=lambda p: (_members(p[0]), _members(p[1]))):
-                hit = _meet(chain, block, I, J, *draw)
-                if hit is not None:
-                    points.append(hit)
+        chain, n_el = flag[:-1], f.bit_length()
+        block = _element_blocks(n_el, mask_blocks(n_el, chain))
+        for I, J, _ in pairs:
+            hit = _meet(chain, block, I, J, *draw)
+            if hit is not None:
+                points.append(hit)
         return
     n_i, n_j = sizes
+    fa, fb, _ = draw
     for g in lat.covers_above(f):
         low = (g ^ f) & -(g ^ f)
-        kept = []
-        for I, J in pairs:
-            to_i = I < low and I.bit_count() < n_i
-            to_j = not J & (2 * low - 1) and J.bit_count() < n_j
-            if to_i:
-                kept.append((I | low, J))
-            if to_j:
-                kept.append((I, J | low))
-            if to_i and to_j and not I & J:
-                kept.append((I | low, J | low))
+        x = low.bit_length() - 1
+        takes = ((low, low, 0),) if x == 0 else ((low, 0, fa[x]), (0, low, fb[x]))
+        kept = [
+            (I | i, J | j, value) for I, J, last in pairs for i, j, value in takes
+            if value < last and (I | i).bit_count() <= n_i and (J | j).bit_count() <= n_j
+        ]
         if kept:
             _walk(lat, g, (*flag, g), kept, sizes, draw, points)
 
@@ -304,9 +312,12 @@ def stable_intersection_points(
 
     A draw is redrawn when it fails the genericity check or hits a tie.
     Draw i is seeded seed * 1000003 + i, and when all 32 draws fail, the
-    DegenerateSystem names the seeds they took.
+    DegenerateSystem names the seeds they took.  A seed that is not an int
+    (a float, a bool or None) raises RangeError.
     """
     r = m.degree_rank(k)
+    if type(seed) is not int:
+        raise RangeError(f"seed={seed!r} is not an int")
     n_el = m.n_elements
     lat = m.lattice()
     base = seed * 1000003
@@ -317,7 +328,8 @@ def stable_intersection_points(
             continue
         try:
             points: List[IntersectionPoint] = []
-            _walk(lat, lat.bottom, (), [(0, 0)], (r - k + 1, k + 1), (fa, fb, scale), points)
+            start = [(0, 0, math.inf)]
+            _walk(lat, lat.bottom, (), start, (r - k + 1, k + 1), (fa, fb, scale), points)
             return points, (a, b)
         except DegenerateSystem:
             continue

@@ -14,6 +14,7 @@ from matchow import (
     KOutOfRange,
     LoopPresent,
     Matroid,
+    RangeError,
     complete_graph_k4,
     deg_pp,
 )
@@ -102,6 +103,14 @@ def test_deg_pp_guards():
     looped = Matroid.from_graph([(0, 0), (0, 1)])
     with pytest.raises(LoopPresent):
         deg_pp(looped, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, None])
+def test_deg_pp_seed_must_be_an_int(seed):
+    # random.Random would take each of these: 1.5 and True as numbers, None
+    # as a draw from the operating system's entropy
+    with pytest.raises(RangeError, match=rf"^seed={seed!r} is not an int$"):
+        deg_pp(Matroid.fano(), 1, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from matchow import (
     KOutOfRange,
     LoopPresent,
     Matroid,
+    NotFullRank,
+    RangeError,
     complete_graph_k4,
     deg_stable,
     intersect_triple,
@@ -23,8 +25,8 @@ from matchow import (
     triangle_with_pendant,
 )
 from matchow.cli import main
-from matchow.exact import hermite_row_reduce, solve_linear
-from matchow.fan import WeightedFan, flag_parts, full_coordinates, matroid_fan
+from matchow.exact import hermite_row_reduce, lattice_index, solve_linear
+from matchow.fan import WeightedFan, flag_parts, full_coordinates, mask_image, matroid_fan
 from matchow.matroid import FlatLattice
 from matchow.stable import (
     _check_monotone,
@@ -93,6 +95,28 @@ def test_span_generators_are_saturated():
                     status, coeffs = solve_linear(matrix, [Fraction(x) for x in v])
                     assert status == "unique"
                     assert all(c.denominator == 1 for c in coeffs)
+
+
+def _index_or_rank(generators, width):
+    try:
+        return lattice_index(generators, width)
+    except NotFullRank:
+        return "not full rank"
+
+
+def test_span_lattices_sum_to_the_lattice_of_the_intersection():
+    # L_I + L_J is the lattice of vectors constant on I & J, because
+    # e_{I&J} = e_I - sum of e_g over g in I - J.  The extra rows, a complete
+    # chain as _meet adds or twice the unit vectors, fill the rank that
+    # lattice_index needs, the second with indices other than 1
+    for n in range(1, 6):
+        chain = [mask_image(n, (1 << i) - 1) for i in range(1, n)]
+        doubled = [tuple(2 * x for x in row) for row in _span_generators(n, 0)]
+        for I, J in itertools.product(range(1 << n), repeat=2):
+            both = _span_generators(n, I) + _span_generators(n, J)
+            meet = _span_generators(n, I & J)
+            for extra in ([], chain, doubled):
+                assert _index_or_rank(extra + both, n - 1) == _index_or_rank(extra + meet, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +368,39 @@ def test_deg_stable_matches_mu_on_larger_matroids(m):
 
 
 def test_deg_stable_matches_mu_on_k7():
-    # the first two k of K7 (56,700 complete flags) stay quick under the walk
+    # every k of K7 (56,700 complete flags) stays quick under the walk
     m = Matroid.from_graph(list(itertools.combinations(range(7), 2)))
-    for k in (0, 1):
-        assert deg_stable(m, k) == m.mu(k)
+    assert [deg_stable(m, k) for k in range(m.rank())] == list(m.mu_vector())
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        *SUITE_MATROIDS,
+        triangle_with_pendant(),
+        Matroid.from_graph(list(itertools.combinations(range(5), 2))),
+        Matroid.from_graph(list(itertools.combinations(range(6), 2))),
+    ],
+    ids=[*SUITE_IDS, "fig1", "K5", "K6"],
+)
+def test_every_pair_the_walk_keeps_is_a_hit(monkeypatch, m):
+    # the falling-values rule is also sufficient, so _meet, which still
+    # decides every pair, never sees a miss
+    outcomes = []
+
+    def counting(*args):
+        hit = real(*args)
+        outcomes.append(hit is not None)
+        return hit
+
+    real = stable_mod._meet
+    monkeypatch.setattr(stable_mod, "_meet", counting)
+    for k in range(m.rank()):
+        for seed in (0, 7):
+            outcomes.clear()
+            points, _ = stable_intersection_points(m, k, seed)
+            assert len(outcomes) == len(points) == m.mu(k)
+            assert all(outcomes)
 
 
 def test_deg_stable_leaves_no_cyclic_garbage():
@@ -438,6 +491,17 @@ def test_redraw_exhaustion_names_the_seeds_it_tried(monkeypatch, capsys):
         "internal cross-assertion failed: no generic displacement pair found after "
         "32 draws, seeds 2000006..2000037\n"
     )
+
+
+@pytest.mark.parametrize("seed", [1.5, True, None])
+def test_seed_must_be_an_int(seed):
+    # random.Random would take each of these: 1.5 and True as numbers, None
+    # as a draw from the operating system's entropy
+    fano = Matroid.fano()
+    with pytest.raises(RangeError, match=rf"^seed={seed!r} is not an int$"):
+        deg_stable(fano, 1, seed=seed)
+    with pytest.raises(RangeError, match=rf"^seed={seed!r} is not an int$"):
+        stable_intersection_points(fano, 1, seed)
 
 
 def test_deg_stable_guards():

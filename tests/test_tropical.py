@@ -439,6 +439,12 @@ def test_deg_tropical_reaches_k5_u49_and_k6():
             assert deg_tropical(m, k) == m.mu(k)
 
 
+def test_deg_tropical_matches_mu_on_k7():
+    # one k of K7: five alpha divisor steps down from its 56,700 complete flags
+    k7 = Matroid.from_graph(list(itertools.combinations(range(7), 2)))
+    assert deg_tropical(k7, 0) == k7.mu(0)
+
+
 def test_fan_and_divisor_weights_are_ints(suite_matroid):
     m = suite_matroid
     r = m.rank() - 1
