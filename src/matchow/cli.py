@@ -49,8 +49,8 @@ METHODS: Dict[str, Callable] = {
 }
 
 ORACLES: Dict[str, Callable] = {
-    "whitney": lambda m, k: m.mu(k),
-    "chains": lambda m, k: m.chains_with_descent_set(range(1, k + 1)),
+    "whitney": lambda m, k, seed: m.mu(k),
+    "chains": lambda m, k, seed: m.chains_with_descent_set(range(1, k + 1)),
 }
 
 
@@ -189,26 +189,18 @@ def cmd_crosscheck(args) -> int:
     methods = [meth for meth in METHODS if meth not in set(args.skip or [])]
     if len(methods) < 2:
         raise UsageError("crosscheck needs at least two methods after --skip")
-    started = time.perf_counter()
-    r = m.rank() - 1
-    rows = []
-    all_agree = True
-    for k in range(r + 1):
-        row: Dict[str, object] = {"k": k}
-        values = set()
-        for meth in methods:
-            v = METHODS[meth](m, k, args.seed)
-            row[meth] = str(v)
-            values.add(v)
-        for oracle, fn in ORACLES.items():
-            v = fn(m, k)
-            row[oracle] = str(v)
-            values.add(v)
-        row["agree"] = len(values) == 1
-        all_agree = all_agree and row["agree"]
-        rows.append(row)
-    elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
     columns = methods + list(ORACLES)
+    routes = {**METHODS, **ORACLES}
+    started = time.perf_counter()
+    rows = []
+    for k in range(m.rank()):
+        row: Dict[str, object] = {"k": k}
+        for c in columns:
+            row[c] = str(routes[c](m, k, args.seed))
+        row["agree"] = len({row[c] for c in columns}) == 1
+        rows.append(row)
+    all_agree = all(row["agree"] for row in rows)
+    elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
     lines = [f"crosscheck {name}  (seed={args.seed})"]
     header = "k  " + "  ".join(f"{c:>8}" for c in columns) + "  verdict"
     lines.append(header)
@@ -315,27 +307,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception classes, exit code, message prefix), checked in order
+EXITS = (
+    ((UsageError, KOutOfRange, RangeError), 2, "error: "),
+    ((EmptyBases, ExchangeViolation), 3, "error: matroid axioms violated: "),
+    ((LoopPresent, LoopContract), 4, "error: "),
+    ((Unbalanced,), 5, "error: "),
+    ((AssertionError, DegenerateSystem, DegeneratePoint, NotFullRank), 5,
+     "internal cross-assertion failed: "),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, KOutOfRange, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EmptyBases, ExchangeViolation) as exc:
-        print(f"error: matroid axioms violated: {exc}", file=sys.stderr)
-        return 3
-    except (LoopPresent, LoopContract) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except Unbalanced as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (AssertionError, DegenerateSystem, DegeneratePoint, NotFullRank) as exc:
-        print(f"internal cross-assertion failed: {exc}", file=sys.stderr)
-        return 5
-    except Exception as exc:  # anything unforeseen still gets one line, not a traceback
+    except Exception as exc:
+        for kinds, code, prefix in EXITS:
+            if isinstance(exc, kinds):
+                print(f"{prefix}{exc}", file=sys.stderr)
+                return code
+        # anything unforeseen still gets one line, not a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
 

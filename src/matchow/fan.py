@@ -35,6 +35,7 @@ in the canonical order of `flag_key` only once one has failed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import LoopPresent, RangeError, Unbalanced
@@ -114,6 +115,12 @@ def braid_cone_of(n_elements: int, point: Sequence) -> FlagCone:
     return tuple(flag)
 
 
+def _require_exact(value, what: str) -> None:
+    # type() rather than isinstance(): True is no weight, and a float is inexact
+    if type(value) not in (int, Fraction):
+        raise ValueError(f"{what} {value!r} is not an int or a Fraction")
+
+
 def _checked(n_elements: int, dim: int, weights: Mapping[MaskFlag, int]) -> Dict[MaskFlag, int]:
     """The nonzero weights, once every flag is a strict chain of `dim`
     proper nonempty masks: one prev & ~s test per member."""
@@ -138,7 +145,8 @@ def _checked(n_elements: int, dim: int, weights: Mapping[MaskFlag, int]) -> Dict
 class WeightedFan:
     """A pure-dimensional weighted subfan of the braid fan.
 
-    The constructor takes flags of subsets of E; `weights` holds them as
+    The constructor takes flags of subsets of E and int or Fraction weights,
+    and raises ValueError on any other weight; `weights` holds the flags as
     mask flags (see the module docstring)."""
 
     __slots__ = ("n_elements", "dim", "weights")
@@ -149,6 +157,8 @@ class WeightedFan:
         dim: int,
         weights: Mapping[Sequence[Iterable[int]], int],
     ):
+        for w in weights.values():
+            _require_exact(w, "weight")
         masks = {_flag_masks(n_elements, flag): w for flag, w in weights.items()}
         self.n_elements = n_elements
         self.dim = dim
@@ -174,6 +184,7 @@ class WeightedFan:
 
     def reweighted(self, flag: FlagCone, w) -> "WeightedFan":
         """Copy with one cone's weight replaced (used to build counterexamples)."""
+        _require_exact(w, "weight")
         weights = dict(self.weights)
         weights[_flag_masks(self.n_elements, flag)] = w
         return WeightedFan._from_masks(self.n_elements, self.dim, weights)

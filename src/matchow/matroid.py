@@ -21,15 +21,16 @@ alone, and each distinct Y_T costs one test: transposed over basis
 indices, its columns together must cover every basis.
 
 The distinct Y_T are every cocircuit, and their complements every
-hyperplane.  The matroid keeps them, and on the first closure or lattice
-query sorts the hyperplanes by their element tuples and transposes them
-into one column per element: bit j of column e is set iff the j-th
-hyperplane holds e.  A flat of rank below r
-is the intersection of the hyperplanes that hold it (Oxley, Matroid
-Theory, ch. 1), so a closure is one AND of columns and one scan: cl(S)
-holds x iff every hyperplane holding S holds x.  Loops are the elements
-no basis holds, read off the bases, so minors and the degree guard never
-build the hyperplane columns.
+hyperplane.  The lattice sorts the hyperplanes by their element tuples and
+transposes them into one column per element: bit j of column e is set iff
+the j-th hyperplane holds e (see `FlatLattice`).  The matroid keeps the
+cocircuits and no hyperplanes: its lattice is the one record of the flats.
+A closure is the least flat that holds a set (Oxley, Matroid Theory,
+ch. 1), and it is read off the lattice: the covers of a flat F partition
+E - F, so cl(S) is reached from the bottom by stepping to the cover that
+holds the least element of S - F until S - F is empty.  Loops are the
+elements no basis holds, read off the bases, so minors and the degree
+guard never build the hyperplane columns.
 
 The characteristic polynomial is always computed twice, by Whitney's sum
 over the sets that hold no broken circuit and by the Moebius sum over the
@@ -180,11 +181,11 @@ class FlatLattice:
     hyperplanes come off the cocircuits, in the order the columns number
     them, which is the level order; a flat F of rank r - 2 is covered by
     the hyperplanes in h_F, and each hyperplane by E alone.  Every flat it
-    hands out, in levels, covers, chains and as a key of `flat_rank` and
-    `mobius`, is that mask.  Each level is sorted by its flats' sorted
-    element tuples, and the covers of a flat follow the level order, so the
-    chains come out in the order that flags, cones and the lex expansion
-    follow.
+    hands out, in levels, covers, chains and as a key of `mobius`, is that
+    mask, and a flat's rank is the index of its level in `flats_by_rank`.
+    Each level is sorted by its flats' sorted element tuples, and the
+    covers of a flat follow the level order, so the chains come out in the
+    order that flags, cones and the lex expansion follow.
 
     `mobius` is built on its first read and then kept, bottom-up from
     mu(bottom) = 1 and sum_{G <= F} mu(G) = 0 for F above the bottom.  The
@@ -194,10 +195,11 @@ class FlatLattice:
     """
 
     def __init__(self, matroid: "Matroid"):
-        bits = [(1 << e, column) for e, column in enumerate(matroid._hyperplane_columns())]
+        hyperplanes, columns = matroid._hyperplane_columns()
+        bits = [(1 << e, column) for e, column in enumerate(columns)]
         levels = [[matroid._loops]]
         # the hyperplane sets of the last level's flats
-        through = {matroid._loops: (1 << len(matroid._cocircuits)) - 1}
+        through = {matroid._loops: (1 << len(hyperplanes)) - 1}
         covers: Dict[int, Tuple[int, ...]] = {}
         r = matroid.rank()
         for _ in range(r - 2):
@@ -218,7 +220,6 @@ class FlatLattice:
         if r > 1:
             # a flat of rank r - 2 is covered by the hyperplanes that hold it,
             # which the columns number in level order
-            hyperplanes = matroid._hyperplanes
             for f in levels[-1]:
                 covers[f] = tuple(hyperplanes[j] for j in _members(through[f]))
             levels.append(hyperplanes)
@@ -231,9 +232,6 @@ class FlatLattice:
         self.flats_by_rank: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, levels))
         self.bottom: int = levels[0][0]
         self.top: int = levels[-1][0]
-        self.flat_rank: Dict[int, int] = {
-            f: rk for rk, level in enumerate(levels) for f in level
-        }
         self._covers_above = covers
         self._mobius: Dict[int, int] | None = None
         self._proper: Tuple[int, ...] = tuple(f for level in levels[1:-1] for f in level)
@@ -300,8 +298,7 @@ class Matroid:
     """
 
     __slots__ = (
-        "n_elements", "_masks", "_cocircuits", "_loops", "_hyperplanes", "_hcolumns", "_lattice",
-        "_char_poly",
+        "n_elements", "_masks", "_cocircuits", "_loops", "_lattice", "_char_poly",
     )
 
     def __init__(self, n_elements: int, bases: Iterable[Iterable[int]]):
@@ -327,8 +324,6 @@ class Matroid:
         self._cocircuits: Tuple[int, ...] = _check_exchange(self._masks)
         self.n_elements = n_elements
         self._loops = ((1 << n_elements) - 1) & ~reduce(or_, self._masks)
-        self._hyperplanes: Tuple[int, ...] = ()
-        self._hcolumns: list[int] | None = None
         self._lattice: FlatLattice | None = None
         self._char_poly: Tuple[int, ...] | None = None
 
@@ -406,31 +401,23 @@ class Matroid:
         return max((key & b).bit_count() for b in self._masks)
 
     def closure(self, subset: Iterable[int]) -> Flat:
-        return frozenset(_members(self._closure_mask(_subset_mask(self.n_elements, subset))))
+        """The least flat holding the subset S, walked up the lattice from the
+        bottom: F steps to its cover that holds the least element of S - F,
+        which is cl(F + x) and lies in cl(S), until S - F is empty."""
+        s = _subset_mask(self.n_elements, subset)
+        lat = self.lattice()
+        flat = lat.bottom
+        while s & ~flat:
+            low = s & ~flat & -(s & ~flat)
+            flat = next(g for g in lat.covers_above(flat) if g & low)
+        return frozenset(_members(flat))
 
-    def _hyperplane_columns(self) -> list[int]:
-        """The hyperplanes E - Y, sorted by their element tuples into
-        `_hyperplanes`, and transposed: bit j of column e is set iff the
-        j-th hyperplane holds e.  Built on the first closure or lattice query."""
-        if self._hcolumns is None:
-            full = (1 << self.n_elements) - 1
-            self._hyperplanes = tuple(sorted((full ^ y for y in self._cocircuits), key=_members))
-            self._hcolumns = _basis_columns(self._hyperplanes, self.n_elements)
-        return self._hcolumns
-
-    def _closure_mask(self, subset: int) -> int:
-        """cl(S) is the intersection of the hyperplanes holding S, or E when
-        none does: with h the AND of the columns of S, x is in cl(S) iff its
-        column holds h."""
-        columns = self._hyperplane_columns()
-        h = (1 << len(self._cocircuits)) - 1
-        for e in _members(subset):
-            h &= columns[e]
-        flat = 0
-        for x, column in enumerate(columns):
-            if column & h == h:
-                flat |= 1 << x
-        return flat
+    def _hyperplane_columns(self) -> Tuple[Tuple[int, ...], list[int]]:
+        """The hyperplanes E - Y, sorted by their element tuples, and their
+        transpose: bit j of column e is set iff the j-th hyperplane holds e."""
+        full = (1 << self.n_elements) - 1
+        hyperplanes = tuple(sorted((full ^ y for y in self._cocircuits), key=_members))
+        return hyperplanes, _basis_columns(hyperplanes, self.n_elements)
 
     def loops(self) -> Flat:
         return frozenset(_members(self._loops))
@@ -475,9 +462,9 @@ class Matroid:
         if not self._loops:
             coeffs = _nbc_char_poly(self._masks)
             lat = self.lattice()
-            via_mobius = [0] * (full_rank + 1)
-            for flat, mu in lat.mobius.items():
-                via_mobius[full_rank - lat.flat_rank[flat]] += mu
+            mobius = lat.mobius
+            # q^(r - rk) takes the Moebius values of the flats of rank rk
+            via_mobius = [sum(mobius[f] for f in level) for level in lat.flats_by_rank][::-1]
             if via_mobius != coeffs:
                 raise AssertionError(
                     "NBC and Moebius characteristic polynomials disagree"

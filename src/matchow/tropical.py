@@ -46,6 +46,7 @@ from .errors import LoopPresent, RangeError, Unbalanced
 from .fan import (
     MaskFlag,
     WeightedFan,
+    _require_exact,
     face_stars,
     first_face,
     full_coordinates,
@@ -88,10 +89,12 @@ def pl_beta(n_elements: int) -> PLFunction:
 
 
 def pl_linear(n_elements: int, coeffs: Mapping[int, int]) -> PLFunction:
-    """The linear function sum c_e x_e; the coefficients must sum to 0 so that
-    it is well defined on the quotient by the all-ones line."""
-    for e in coeffs:
+    """The linear function sum c_e x_e; the coefficients, each an int or a
+    Fraction, must sum to 0 so that it is well defined on the quotient by the
+    all-ones line."""
+    for e, c in coeffs.items():
         _require_element(e, n_elements)
+        _require_exact(c, "coefficient")
     if sum(coeffs.values()) != 0:
         raise ValueError("a linear function on the quotient needs coefficient sum 0")
     terms = tuple(coeffs.items())

@@ -6,6 +6,7 @@ its own test so the verbose pytest report carries one pass/fail line each.
 
 from __future__ import annotations
 
+import math
 import time
 
 from matchow import (
@@ -246,4 +247,20 @@ def test_observational_log_concavity():
                 bad.append((name, k, mu))
     verdict = "PASS" if not bad else "FAIL"
     print(f"OBSERVATION log-concavity of mu vectors: {verdict}  (suite + fig1)")
+    assert not bad, bad
+
+
+def test_uniform_family_six_ways():
+    # mu^k(U(r, n)) = C(n - 1, k) for 0 <= k < r: every route and both
+    # oracles on every U(r, n) with 1 <= r <= n <= 7, 84 (r, n, k) cases
+    bad = []
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            m = Matroid.uniform(r, n)
+            for k in range(r):
+                values = {meth: fn(m, k) for meth, fn in METHODS.items()}
+                values["whitney"] = m.mu(k)
+                values["chains"] = m.chains_with_descent_set(range(1, k + 1))
+                if set(values.values()) != {math.comb(n - 1, k)}:
+                    bad.append((r, n, k, values))
     assert not bad, bad

@@ -139,6 +139,15 @@ def test_weighted_fan_dimension_check():
         WeightedFan(3, 2, {(frozenset({0}),): 1})
 
 
+@pytest.mark.parametrize("w", [0.1 + 0.2, 0.5, 1.0, True, None, "1"])
+def test_weights_must_be_int_or_fraction(w):
+    fs = frozenset
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        WeightedFan(3, 1, {(fs({0}),): w, (fs({1}),): 1})
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        matroid_fan(Matroid.uniform(2, 3)).reweighted((fs({0}),), w)
+
+
 def test_reweighted_copies():
     fan = matroid_fan(Matroid.uniform(2, 3))
     bad = fan.reweighted((frozenset({0}),), 2)

@@ -447,10 +447,12 @@ def test_rank_and_closure_match_brute_force(suite_matroid):
 
 
 def _flats_brute(m: Matroid) -> set:
+    # closures from the brute-force rank, so the lattice is not checked
+    # against closures read off itself
     out = set()
-    for size in range(m.n_elements + 1):
-        for s in itertools.combinations(m.elements, size):
-            out.add(m.closure(s))
+    for s in _subsets(m):
+        rk = _rank_brute(m, s)
+        out.add(frozenset(e for e in m.elements if _rank_brute(m, s | {e}) == rk))
     return out
 
 
@@ -461,7 +463,8 @@ def test_lattice_matches_brute_force(suite_matroid):
     for rk, level in enumerate(lat.flats_by_rank):
         for f in level:
             assert m.rank(view(f)) == rk
-            assert lat.flat_rank[f] == rk
+    # each flat sits in one level, so its level index is its rank
+    assert sum(map(len, lat.flats_by_rank)) == len(set(lat.flats()))
 
 
 def _lattice_reference(m: Matroid):
@@ -576,13 +579,14 @@ def test_flat_counts_frozen():
 
 def test_covers_raise_rank_by_one(suite_matroid):
     lat = suite_matroid.lattice()
-    for f in lat.flats():
-        if f == lat.top:
-            assert lat.covers_above(f) == ()
-            continue
-        for g in lat.covers_above(f):
-            assert view(f) < view(g)
-            assert lat.flat_rank[g] == lat.flat_rank[f] + 1
+    for rk, level in enumerate(lat.flats_by_rank):
+        for f in level:
+            if f == lat.top:
+                assert lat.covers_above(f) == ()
+                continue
+            for g in lat.covers_above(f):
+                assert view(f) < view(g)
+                assert g in lat.flats_by_rank[rk + 1]
 
 
 def test_lattice_views_keep_level_order(suite_matroid):

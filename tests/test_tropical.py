@@ -134,6 +134,13 @@ def test_pl_linear_rejects_keys_outside_the_ground_set():
             pl_linear(3, coeffs)
 
 
+@pytest.mark.parametrize("c", [0.5, True, None, "1"])
+def test_pl_linear_coefficients_must_be_int_or_fraction(c):
+    with pytest.raises(ValueError, match=r"coefficient .* is not an int or a Fraction"):
+        pl_linear(3, {0: c, 1: -1})
+    assert pl_linear(3, {0: Fraction(1, 2), 1: Fraction(-1, 2)})((1, 0)) == Fraction(-1, 2)
+
+
 def test_pl_function_rejects_wrong_dimension():
     for f in (pl_alpha(3), pl_beta(3), pl_linear(3, {0: 1, 2: -1})):
         for point in ((), (1,), (1, 2, 3)):

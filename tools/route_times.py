@@ -1,17 +1,21 @@
-"""Time every route and the chain count per k on a ladder of matroids.
+"""Time the matroid layer, and every route and the chain count per k, on a
+ladder of matroids.
 
-For each rung the matroid is built and its lattice of flats and mu-vector
-are computed first, so no route's time includes them.  Then, for each k,
-lex, pp, stable, tropical and the chain count by descent set run in this
-one process; each value is asserted equal to mu^k, and the best wall time
-of RUNS calls is printed in milliseconds.  K7 takes one run and skips pp,
+For each rung the matroid layer is timed first on fresh matroids: the
+construction from the explicit bases (which runs the exchange check), the
+lattice of flats alone, and the first `char_poly` call with the lattice
+built (the Moebius values and the NBC walk).  Then the rung's lattice of
+flats and mu-vector are computed, so no route's time includes them.  For
+each k, lex, pp, stable, tropical and the chain count by descent set run
+in this one process; each value is asserted equal to mu^k.  Every time
+printed is the best wall time of RUNS calls, in milliseconds.  K7 takes one run and skips pp,
 whose 2^21-subset table it would fill.  Standard library only.
 
     python3 tools/route_times.py              # every rung, in ladder order
     python3 tools/route_times.py fano 'U(4,9)' K6
 
-The only arguments are rung names.  Prints one header line per rung, then
-one line per k.
+The only arguments are rung names.  Prints one header line per rung, one
+line of matroid-layer times, then one line per k.
 """
 
 from __future__ import annotations
@@ -64,13 +68,37 @@ def best_ms(call: Callable[[], int], expected: int, runs: int) -> float:
     return best * 1e3
 
 
+def layer_times(m: Matroid, runs: int) -> str:
+    """The best times, in ms, of the construction, the lattice and char_poly,
+    each stage run on a fresh copy of m; char_poly must equal m's."""
+    bases = [sorted(b) for b in m.bases]
+    best = [float("inf")] * 3
+    for _ in range(runs):
+        marks = [time.perf_counter()]
+        fresh = Matroid(m.n_elements, bases)
+        marks.append(time.perf_counter())
+        fresh.lattice()
+        marks.append(time.perf_counter())
+        poly = fresh.char_poly()
+        marks.append(time.perf_counter())
+        if poly != m.char_poly():
+            raise AssertionError(f"char_poly {poly} of a fresh copy, expected {m.char_poly()}")
+        best = [min(b, hi - lo) for b, lo, hi in zip(best, marks, marks[1:])]
+    stages = ("construct", "lattice", "char_poly")
+    return "  " + "  ".join(f"{stage} {t * 1e3:.3f}" for stage, t in zip(stages, best))
+
+
 def time_rung(name: str) -> List[str]:
-    """The report lines of one rung: a header, then one line per k."""
+    """The report lines of one rung: a header, the matroid layer's times,
+    then one line per k."""
     m = RUNGS[name]()
+    runs = 1 if name in LARGE else RUNS
+    lines = [
+        f"{name}  n={m.n_elements} r={m.rank() - 1}  best of {runs}, ms",
+        layer_times(m, runs),
+    ]
     m.lattice()
     mu = m.mu_vector()
-    runs = 1 if name in LARGE else RUNS
-    lines = [f"{name}  n={m.n_elements} r={m.rank() - 1}  best of {runs}, ms"]
     for k, expected in enumerate(mu):
         cells = []
         for route, deg in ROUTES.items():
