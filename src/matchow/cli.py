@@ -240,27 +240,28 @@ def cmd_crosscheck(args) -> int:
     return 0 if all_agree else 5
 
 
+def _balance_row(label: str, fan) -> dict:
+    """The verdict on one fan; the fan is dropped when this returns."""
+    ok, certificate = is_balanced(fan)
+    cert = None if ok else [sorted(s) for s in certificate]
+    return {"fan": label, "balanced": ok, "cones": len(fan.weights), "certificate": cert}
+
+
 def cmd_balancing(args) -> int:
     m, name = _load_matroid(args)
-    r = m.rank() - 1
-    checks: List[tuple[str, object]] = [("matroid_fan", matroid_fan(m))]
+    r = m.degree_rank(0)
+    # one fan alive at a time: each is built, checked and dropped in turn
+    results = [_balance_row("matroid_fan", matroid_fan(m))]
     for r1 in range(1, r + 1):
         for r2 in range(r1, r + 1):
-            checks.append((f"truncation[{r1},{r2}]", truncation_weight(m, r1, r2)))
+            results.append(_balance_row(f"truncation[{r1},{r2}]", truncation_weight(m, r1, r2)))
     lines = [f"balancing {name}"]
-    results = []
-    ok_all = True
-    for label, fan in checks:
-        ok, certificate = is_balanced(fan)
-        ok_all = ok_all and ok
-        cert = None if ok else [sorted(s) for s in certificate]
-        if ok:
-            lines.append(f"{label}: balanced ({len(fan.weights)} cones)")
+    for row in results:
+        if row["balanced"]:
+            lines.append(f"{row['fan']}: balanced ({row['cones']} cones)")
         else:
-            lines.append(f"{label}: NOT balanced, certificate cone {cert}")
-        results.append(
-            {"fan": label, "balanced": ok, "cones": len(fan.weights), "certificate": cert}
-        )
+            lines.append(f"{row['fan']}: NOT balanced, certificate cone {row['certificate']}")
+    ok_all = all(row["balanced"] for row in results)
     lines.append("PASS" if ok_all else "FAIL")
     payload = {"matroid": name, "fans": results, "pass": ok_all}
     _emit(payload, args.json, lines)

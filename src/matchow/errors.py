@@ -20,7 +20,11 @@ class ExchangeViolation(MatchowError):
 
 
 class LoopPresent(MatchowError):
-    """A loop was found where a loopless matroid is required."""
+    """A loop in a matroid that must be loopless, named by its least element.
+
+    Only the guard `Matroid.degree_rank` raises it: every degree, the chain
+    count, the reduced polynomial, the matroid fan and the truncation
+    windows are defined on loopless matroids alone."""
 
 
 class LoopContract(MatchowError):
@@ -28,11 +32,14 @@ class LoopContract(MatchowError):
 
 
 class KOutOfRange(MatchowError):
-    """The coefficient index k is outside 0..r (empty for a rank-0 matroid)."""
+    """The coefficient index k or a descent position is outside its range, or
+    the matroid has rank 0, where r = -1 and no degree, fan or reduced
+    polynomial exists (the guard `Matroid.degree_rank`)."""
 
 
 class RangeError(MatchowError):
-    """A rank range [r1, r2] is outside the valid window, or a seed is not an int."""
+    """A truncation window [r1, r2] is outside 1 <= r1 <= r2 <= r, or a seed is
+    not an int."""
 
 
 class NotFullRank(MatchowError):
@@ -57,6 +64,6 @@ class Unbalanced(MatchowError):
     ``certificate`` holds the first violating codimension-one cone.
     """
 
-    def __init__(self, certificate, message="fan is not balanced"):
-        super().__init__(f"{message}: at cone {certificate!r}")
+    def __init__(self, certificate):
+        super().__init__(f"fan is not balanced: at cone {certificate!r}")
         self.certificate = certificate

@@ -12,10 +12,12 @@ e, and a flag is a tuple of masks: a weighted fan's `weights` is a dict
 from same-dimension mask flags to nonzero weights (ints on the matroid fan
 and its divisors).  The lattice of flats holds its flats as the same masks,
 so the matroid fan and the truncation windows key their weights by its
-chains as they come, and stable walks those chains itself.  The rule that a
-flag strictly nests proper nonempty subsets is written once, in `_checked`:
-the fan constructors run it on every flag, and `chain_masks` runs it on one
-caller's flag for `flag_parts` and `stable.intersect_triple`.  Frozensets
+chains as they come, and stable walks those chains itself.  Both exist
+only on a loopless matroid of rank >= 1, and both take that guard from
+`Matroid.degree_rank`.  The rule that a flag strictly nests proper
+nonempty subsets is written once, in `_checked`: the fan constructors run
+it on every flag, and `chain_masks` runs it on one caller's flag for
+`flag_parts` and `stable.intersect_triple`.  Frozensets
 appear only at the public edge: `WeightedFan.cones`, `weight` and
 `reweighted`, the balancing certificate, `flag_parts`, `in_rational_span`
 and `e_image`.
@@ -31,6 +33,9 @@ with value own_j, and its block values are c_j = own_j + sum_(i>j) W_i,
 where W_i is the total weight in gap i.  The walk over the faces records
 each extra with its gap, so it needs no point and no sort; faces are put
 in the canonical order of `flag_key` only once one has failed.
+`is_balanced` is the one balancing check and returns that first failed
+face as its certificate; `require_balanced` raises `Unbalanced` on it, and
+`tropical.divisor` runs the same gap test in its own walk over the faces.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import LoopPresent, RangeError, Unbalanced
+from .errors import Unbalanced
 from .matroid import Matroid, _members, _subset_mask
 
 Subset = FrozenSet[int]
@@ -145,9 +150,10 @@ def _checked(n_elements: int, dim: int, weights: Mapping[MaskFlag, int]) -> Dict
 class WeightedFan:
     """A pure-dimensional weighted subfan of the braid fan.
 
-    The constructor takes flags of subsets of E and int or Fraction weights,
-    and raises ValueError on any other weight; `weights` holds the flags as
-    mask flags (see the module docstring)."""
+    The constructor takes non-negative int sizes, flags of subsets of E and
+    int or Fraction weights, and raises ValueError on any other size or
+    weight; `weights` holds the flags as mask flags (see the module
+    docstring)."""
 
     __slots__ = ("n_elements", "dim", "weights")
 
@@ -157,6 +163,10 @@ class WeightedFan:
         dim: int,
         weights: Mapping[Sequence[Iterable[int]], int],
     ):
+        for what, size in (("n_elements", n_elements), ("dim", dim)):
+            # type() rather than isinstance(), as for k and the rank windows
+            if type(size) is not int or size < 0:
+                raise ValueError(f"{what} {size!r} is not a non-negative int")
         for w in weights.values():
             _require_exact(w, "weight")
         masks = {_flag_masks(n_elements, flag): w for flag, w in weights.items()}
@@ -206,12 +216,9 @@ class WeightedFan:
 
 
 def matroid_fan(m: Matroid) -> WeightedFan:
-    """Unit weights on the complete flags of proper nonempty flats."""
-    if not m.is_loopless():
-        raise LoopPresent("the flag fan of a matroid with loops is not defined here")
-    r = m.rank() - 1
-    if r < 0:
-        raise RangeError("a rank-0 matroid has no matroid fan (its dimension would be -1)")
+    """Unit weights on the complete flags of proper nonempty flats, behind
+    the guard `Matroid.degree_rank`."""
+    r = m.degree_rank(0)
     flags = dict.fromkeys(m.lattice().chains(1, r), 1)
     return WeightedFan._from_masks(m.n_elements, r, flags)
 
@@ -287,24 +294,20 @@ def first_face(faces: Iterable[MaskFlag]) -> FlagCone:
     return min((_flag_view(tau) for tau in faces), key=flag_key)
 
 
-def balancing_certificate(fan: WeightedFan) -> Optional[FlagCone]:
-    """First codimension-one face, in canonical order, whose weighted sum of
-    extra rays leaves its span; None when the fan is balanced."""
+def is_balanced(fan: WeightedFan) -> Tuple[bool, Optional[FlagCone]]:
+    """(True, None) for a balanced fan; otherwise (False, the first
+    codimension-one face, in canonical order, whose weighted sum of extra
+    rays leaves its span)."""
     n = fan.n_elements
     failed = {
         tau
         for (tau, gap), extras in face_stars(fan).items()
         if gap_value(*gap_bounds(n, tau, gap), extras) is None
     }
-    return first_face(failed) if failed else None
-
-
-def is_balanced(fan: WeightedFan) -> Tuple[bool, Optional[FlagCone]]:
-    cert = balancing_certificate(fan)
-    return cert is None, cert
+    return (False, first_face(failed)) if failed else (True, None)
 
 
 def require_balanced(fan: WeightedFan) -> None:
-    cert = balancing_certificate(fan)
-    if cert is not None:
+    ok, cert = is_balanced(fan)
+    if not ok:
         raise Unbalanced(cert)

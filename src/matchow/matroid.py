@@ -473,28 +473,31 @@ class Matroid:
         return self._char_poly
 
     def degree_rank(self, k: int) -> int:
-        """r = rank - 1 for a loopless matroid with 0 <= k <= r: every degree route's guard."""
-        if not self.is_loopless():
-            raise LoopPresent("degree needs a loopless matroid")
+        """r = rank - 1 for a loopless matroid with 0 <= k <= r.
+
+        The one guard of every object defined only on a loopless matroid of
+        rank r + 1 >= 1: the degrees, the chain count, the reduced
+        polynomial, the matroid fan and the truncation windows.  Those that
+        take no k pass k = 0."""
+        if self._loops:
+            loop = (self._loops & -self._loops).bit_length() - 1
+            raise LoopPresent(f"element {loop} is a loop; a loopless matroid is required")
         r = self.rank() - 1
         if r < 0:
-            raise KOutOfRange("a rank-0 matroid has no degrees (r = rank - 1 = -1)")
+            raise KOutOfRange(
+                "a rank-0 matroid has no degrees, fans or reduced polynomial (r = rank - 1 = -1)"
+            )
         if type(k) is not int or not 0 <= k <= r:
             raise KOutOfRange(f"k={k!r} outside 0..{r}")
         return r
 
     def reduced_char_poly(self) -> Tuple[int, ...]:
-        """Coefficients of chi(q)/(q-1), ascending; requires looplessness.
+        """Coefficients of chi(q)/(q-1), ascending, behind the guard `degree_rank`.
 
         A loopless matroid of rank 0 (the empty ground set) has chi(q) = 1,
         which q - 1 does not divide, so it has no reduced polynomial.
         """
-        if not self.is_loopless():
-            raise LoopPresent("reduced characteristic polynomial needs a loopless matroid")
-        if self.rank() == 0:
-            raise KOutOfRange(
-                "a rank-0 matroid has no reduced characteristic polynomial (chi(q) = 1)"
-            )
+        self.degree_rank(0)
         return _poly_divide_by_q_minus_1(self.char_poly())
 
     def mu(self, k: int) -> int:

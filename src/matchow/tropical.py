@@ -26,15 +26,19 @@ f(e_(F_(d+1))) read as 0.  So each gap adds sum_S w (f(e_S) - f(e_(F_(i-1))))
 - own_i (f(e_(F_i)) - f(e_(F_(i-1)))) to the divisor on tau.  The constancy
 test on each gap is the balancing test, so the divisor checks that w is
 balanced in the same walk over the faces, `fan.face_stars`, that
-`is_balanced` runs.  Faces and rays are int masks throughout.  The divisor
-is linear in w, negative weights included, and f is evaluated once per
-distinct ray mask in a call.  The matroid fan has unit weights and the
-functions take integer values on the rays, so every weight stays an int.
+`is_balanced`, the one balancing check, runs.  Faces and rays are int
+masks throughout.  The divisor is linear in w, negative weights included,
+and f is evaluated once per distinct ray mask in a call.  The matroid fan
+has unit weights and the functions take integer values on the rays, so
+every weight stays an int.
 
 Iterating the two tropical hyperplane classes walks the rank window of the
 truncation weights down to a number: beta trims the window from below,
 alpha from above, and the 0-dimensional leftovers are the reduced
-characteristic polynomial coefficients.
+characteristic polynomial coefficients.  The windows, like the matroid
+fan, exist only on a loopless matroid of rank r + 1 >= 1, and
+`truncation_weight` takes r from the guard `Matroid.degree_rank` before it
+checks the window.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
-from .errors import LoopPresent, RangeError, Unbalanced
+from .errors import RangeError, Unbalanced
 from .fan import (
     MaskFlag,
     WeightedFan,
@@ -133,10 +137,9 @@ def divisor(f: PLFunction, w: WeightedFan) -> WeightedFan:
 def truncation_weight(m: Matroid, r1: int, r2: int) -> WeightedFan:
     """Flags of flats of consecutive ranks r1..r2, weighted |mobius(bottom flat)|.
 
-    Balance is not checked here; `divisor` and `is_balanced` check it."""
-    if not m.is_loopless():
-        raise LoopPresent("truncation weights need a loopless matroid")
-    r = m.rank() - 1
+    Behind the guard `Matroid.degree_rank`; balance is not checked here,
+    `divisor` and `is_balanced` check it."""
+    r = m.degree_rank(0)
     # type() rather than isinstance(), as degree_rank gates k: no float or bool bound
     if type(r1) is not int or type(r2) is not int or not 1 <= r1 <= r2 <= r:
         raise RangeError(f"rank window [{r1!r}, {r2!r}] outside 1 <= r1 <= r2 <= {r}")

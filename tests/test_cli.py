@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -391,6 +392,40 @@ def test_empty_ground_set_balancing_is_exit_2(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "rank-0" in err
+
+
+def test_balancing_on_a_looped_graph_is_exit_4_with_the_guard_line(capsys, tmp_path):
+    graph = tmp_path / "looped.txt"
+    graph.write_text("0 1\n1 1\n")
+    code, out, err = run(capsys, "balancing", "--graph", str(graph))
+    assert (code, out) == (4, "")
+    assert err == "error: element 1 is a loop; a loopless matroid is required\n"
+
+
+def test_balancing_keeps_one_fan_alive(capsys, monkeypatch):
+    # every fan must be dropped before the next one is built
+    class Tracked(fan_mod.WeightedFan):
+        __slots__ = ("__weakref__",)
+
+    refs = []
+    alive_at_build = []
+
+    def tracked(build):
+        def wrapper(*args):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            fan = build(*args)
+            copy = Tracked._from_masks(fan.n_elements, fan.dim, fan.weights)
+            refs.append(weakref.ref(copy))
+            return copy
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "matroid_fan", tracked(cli.matroid_fan))
+    monkeypatch.setattr(cli, "truncation_weight", tracked(cli.truncation_weight))
+    code, out, _ = run(capsys, "balancing", "--builtin", "fano")
+    assert code == 0 and out.endswith("PASS\n")
+    # the matroid fan, then the windows [1,1], [1,2] and [2,2]
+    assert alive_at_build == [0, 0, 0, 0]
 
 
 def test_uniform_bad_rank_is_exit_2(capsys):

@@ -27,7 +27,6 @@ from matchow import (
 from matchow.exact import lattice_index
 from matchow.fan import (
     WeightedFan,
-    balancing_certificate,
     face_stars,
     flag_parts,
     gap_value,
@@ -139,6 +138,22 @@ def test_weighted_fan_dimension_check():
         WeightedFan(3, 2, {(frozenset({0}),): 1})
 
 
+@pytest.mark.parametrize(
+    "n, dim, refused",
+    [
+        (True, 0, "n_elements True"),
+        (3, True, "dim True"),
+        (3, 1.0, "dim 1.0"),
+        (3.0, 1, "n_elements 3.0"),
+        (-1, 0, "n_elements -1"),
+    ],
+)
+def test_weighted_fan_sizes_must_be_non_negative_ints(n, dim, refused):
+    weights = {(frozenset({0}),): 1} if dim else {(): 1}
+    with pytest.raises(ValueError, match=rf"^{refused} is not a non-negative int$"):
+        WeightedFan(n, dim, weights)
+
+
 @pytest.mark.parametrize("w", [0.1 + 0.2, 0.5, 1.0, True, None, "1"])
 def test_weights_must_be_int_or_fraction(w):
     fs = frozenset
@@ -233,7 +248,7 @@ def test_corrupted_facet_weight_certificate():
 
 def test_zero_dimensional_fan_trivially_balanced():
     fan = WeightedFan(3, 0, {(): Fraction(5)})
-    assert balancing_certificate(fan) is None
+    assert is_balanced(fan)[1] is None
 
 
 def test_codim_one_stars_of_boolean3():
@@ -331,7 +346,7 @@ def test_two_gap_face_by_hand():
         total = next(total for face, _, total in codim_one_stars(fan_) if face == tau)
         assert span_reference(tau, total) is balances
         # the rays below tau lie in one cone each, so both fans fail first there
-        assert balancing_certificate(fan_) == reference_certificate(fan_) == (fs({0}),)
+        assert is_balanced(fan_)[1] == reference_certificate(fan_) == (fs({0}),)
 
 
 def test_signed_skeleton_fans_match_the_reference():
@@ -340,7 +355,7 @@ def test_signed_skeleton_fans_match_the_reference():
     for n, dim in ((n, dim) for n in (3, 4, 5) for dim in range(1, n)):
         for seed in range(3):
             for fan in signed_skeleton_fans(n, dim, seed):
-                certificate = balancing_certificate(fan)
+                certificate = is_balanced(fan)[1]
                 assert certificate == reference_certificate(fan)
                 assert is_balanced(fan) == (certificate is None, certificate)
                 verdicts.add(certificate is None)
@@ -417,8 +432,8 @@ def test_alpha_beta_fan_shapes():
 def test_skeleton_fans_balance_small():
     for n in range(3, 6):
         for codim in range(1, n - 1):
-            assert balancing_certificate(_smallest_equal(n, codim)) is None
-            assert balancing_certificate(_largest_equal(n, codim)) is None
+            assert is_balanced(_smallest_equal(n, codim))[1] is None
+            assert is_balanced(_largest_equal(n, codim))[1] is None
 
 
 def test_alpha_fan_points_have_equal_minima():

@@ -27,6 +27,7 @@ from matchow import (
     matroid_fan,
     poly_q_str,
     triangle_with_pendant,
+    truncation_weight,
 )
 import matchow.chowlex as chowlex_module
 import matchow.matroid as matroid_module
@@ -989,6 +990,33 @@ def test_chains_with_descent_set_takes_the_degree_guard():
             m.mu(0)
         with pytest.raises(error):
             m.chains_with_descent_set(())
+
+
+GUARDED = {
+    "lex": lambda m: deg_lex(m, 0),
+    "pp": lambda m: deg_pp(m, 0),
+    "stable": lambda m: deg_stable(m, 0),
+    "tropical": lambda m: deg_tropical(m, 0),
+    "mu": lambda m: m.mu(0),
+    "reduced_char_poly": lambda m: m.reduced_char_poly(),
+    "chains_with_descent_set": lambda m: m.chains_with_descent_set(()),
+    "matroid_fan": matroid_fan,
+    "truncation_weight": lambda m: truncation_weight(m, 1, 1),
+}
+
+
+@pytest.mark.parametrize("refuse", GUARDED.values(), ids=list(GUARDED))
+def test_one_guard_refuses_loops_and_rank_zero(refuse):
+    # edges 3 and 4 are loops, and the one line names the least
+    looped = Matroid.from_graph([(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)])
+    with pytest.raises(LoopPresent) as loop:
+        refuse(looped)
+    assert str(loop.value) == "element 3 is a loop; a loopless matroid is required"
+    with pytest.raises(KOutOfRange) as rank_zero:
+        refuse(Matroid.uniform(0, 0))
+    assert str(rank_zero.value) == (
+        "a rank-0 matroid has no degrees, fans or reduced polynomial (r = rank - 1 = -1)"
+    )
 
 
 def test_descent_counts_partition_all_chains(suite_matroid):

@@ -19,7 +19,7 @@ def test_fano_reports_every_route_for_every_k():
     done = _run("fano")
     assert done.returncode == 0, done.stderr
     header, layers, *rows = done.stdout.splitlines()
-    assert header == "fano  n=7 r=2  best of 3, ms"
+    assert header == "fano  n=7 r=2  ms per call, best of 5 batches of 10 ms"
     stages = "  ".join(rf"{stage} \d+\.\d{{3}}" for stage in ("construct", "lattice", "char_poly"))
     assert re.fullmatch(rf"  {stages}", layers), layers
     assert len(rows) == 3

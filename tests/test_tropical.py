@@ -29,7 +29,7 @@ from matchow import (
 )
 import matchow.cli as cli
 import matchow.fan as fan_mod
-from matchow.fan import WeightedFan, balancing_certificate
+from matchow.fan import WeightedFan, is_balanced
 from matchow.tropical import PLFunction
 
 from conftest import SUITE_IDS, SUITE_MATROIDS
@@ -181,7 +181,7 @@ def test_divisor_requires_balanced_input():
         (fano_fan.reweighted(fano_fan.cones()[-1], 3), None),
         (k4_fan.reweighted(k4_fan.cones()[5], -1), None),
     ):
-        certificate = balancing_certificate(bad)
+        certificate = is_balanced(bad)[1]
         assert certificate is not None
         if expected is not None:
             assert certificate == expected

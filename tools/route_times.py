@@ -8,8 +8,12 @@ built (the Moebius values and the NBC walk).  Then the rung's lattice of
 flats and mu-vector are computed, so no route's time includes them.  For
 each k, lex, pp, stable, tropical and the chain count by descent set run
 in this one process; each value is asserted equal to mu^k.  Every time
-printed is the best wall time of RUNS calls, in milliseconds.  K7 takes one run and skips pp,
-whose 2^21-subset table it would fill.  Standard library only.
+printed is in milliseconds per call: the least mean over BATCHES batches,
+each of which repeats the call until the calls have taken BATCH_S seconds
+in all, so that sub-millisecond stages are resolved on a loaded machine.
+Untimed set-up, such as the fresh matroid a lattice is built on, runs
+before each call.  K7 takes one call per stage and skips pp, whose
+2^21-subset table it would fill.  Standard library only.
 
     python3 tools/route_times.py              # every rung, in ladder order
     python3 tools/route_times.py fano 'U(4,9)' K6
@@ -52,60 +56,71 @@ ROUTES: Dict[str, Callable[[Matroid, int], int]] = {
     "tropical": deg_tropical,
     "chains": lambda m, k: m.chains_with_descent_set(range(1, k + 1)),
 }
-RUNS = 3
-LARGE = {"K7"}  # one run each, and no pp
+BATCHES = 5
+BATCH_S = 0.010
+LARGE = {"K7"}  # one call per stage, and no pp
 
 
-def best_ms(call: Callable[[], int], expected: int, runs: int) -> float:
-    """The least wall time of runs calls, in ms; each call must return expected."""
+def best_ms(call: Callable, expected, large: bool, setup: Callable = lambda: None) -> float:
+    """The least mean time per call, in ms, of call(setup()) over the
+    batches; only the call is timed, and each must return expected."""
     best = float("inf")
-    for _ in range(runs):
-        start = time.perf_counter()
-        value = call()
-        best = min(best, time.perf_counter() - start)
-        if value != expected:
-            raise AssertionError(f"got {value}, expected mu = {expected}")
+    batch_s = 0.0 if large else BATCH_S
+    for _ in range(1 if large else BATCHES):
+        spent, calls = 0.0, 0
+        while calls == 0 or spent < batch_s:
+            arg = setup()
+            start = time.perf_counter()
+            value = call(arg)
+            spent += time.perf_counter() - start
+            calls += 1
+            if value != expected:
+                raise AssertionError(f"got {value}, expected {expected}")
+        best = min(best, spent / calls)
     return best * 1e3
 
 
-def layer_times(m: Matroid, runs: int) -> str:
-    """The best times, in ms, of the construction, the lattice and char_poly,
-    each stage run on a fresh copy of m; char_poly must equal m's."""
+def layer_times(m: Matroid, large: bool) -> str:
+    """The times, in ms per call, of the construction, the lattice and
+    char_poly, each stage run on a fresh copy of m; each result must equal m's."""
     bases = [sorted(b) for b in m.bases]
-    best = [float("inf")] * 3
-    for _ in range(runs):
-        marks = [time.perf_counter()]
-        fresh = Matroid(m.n_elements, bases)
-        marks.append(time.perf_counter())
-        fresh.lattice()
-        marks.append(time.perf_counter())
-        poly = fresh.char_poly()
-        marks.append(time.perf_counter())
-        if poly != m.char_poly():
-            raise AssertionError(f"char_poly {poly} of a fresh copy, expected {m.char_poly()}")
-        best = [min(b, hi - lo) for b, lo, hi in zip(best, marks, marks[1:])]
-    stages = ("construct", "lattice", "char_poly")
-    return "  " + "  ".join(f"{stage} {t * 1e3:.3f}" for stage, t in zip(stages, best))
+
+    def fresh(_=None) -> Matroid:
+        return Matroid(m.n_elements, bases)
+
+    def with_lattice() -> Matroid:
+        copy = fresh()
+        copy.lattice()
+        return copy
+
+    times = (
+        ("construct", best_ms(fresh, m, large)),
+        ("lattice", best_ms(lambda c: c.lattice().flats_by_rank, m.lattice().flats_by_rank,
+                            large, fresh)),
+        ("char_poly", best_ms(lambda c: c.char_poly(), m.char_poly(), large, with_lattice)),
+    )
+    return "  " + "  ".join(f"{stage} {t:.3f}" for stage, t in times)
 
 
 def time_rung(name: str) -> List[str]:
     """The report lines of one rung: a header, the matroid layer's times,
     then one line per k."""
     m = RUNGS[name]()
-    runs = 1 if name in LARGE else RUNS
-    lines = [
-        f"{name}  n={m.n_elements} r={m.rank() - 1}  best of {runs}, ms",
-        layer_times(m, runs),
-    ]
+    large = name in LARGE
+    how = "one call" if large else f"best of {BATCHES} batches of {BATCH_S * 1e3:g} ms"
     m.lattice()
     mu = m.mu_vector()
+    lines = [
+        f"{name}  n={m.n_elements} r={m.rank() - 1}  ms per call, {how}",
+        layer_times(m, large),
+    ]
     for k, expected in enumerate(mu):
         cells = []
         for route, deg in ROUTES.items():
-            if route == "pp" and name in LARGE:
+            if route == "pp" and large:
                 cells.append("pp -")
             else:
-                cells.append(f"{route} {best_ms(lambda: deg(m, k), expected, runs):.3f}")
+                cells.append(f"{route} {best_ms(lambda _: deg(m, k), expected, large):.3f}")
         lines.append(f"  k={k}  " + "  ".join(cells))
     return lines
 
