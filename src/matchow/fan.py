@@ -30,9 +30,11 @@ F_(i-1) < S < F_i.  Then w * e_S adds w to every block below i, nothing
 above i, and is not constant only on block i.  So the weighted sum of the
 extra rays is constant on block j iff the extras in gap j alone are, say
 with value own_j, and its block values are c_j = own_j + sum_(i>j) W_i,
-where W_i is the total weight in gap i.  The walk over the faces records
-each extra with its gap, so it needs no point and no sort; faces are put
-in the canonical order of `flag_key` only once one has failed.
+where W_i is the total weight in gap i.  The walk over the faces,
+`face_stars`, goes one gap at a time: gap i collects the faces that drop
+member i of a cone, each with its extras, so it needs no point and no sort,
+and only one gap's stars are alive at once.  Faces are put in the
+canonical order of `flag_key` only once one has failed.
 `is_balanced` is the one balancing check and returns that first failed
 face as its certificate; `require_balanced` raises `Unbalanced` on it, and
 `tropical.divisor` runs the same gap test in its own walk over the faces.
@@ -41,7 +43,7 @@ face as its certificate; `require_balanced` raises `Unbalanced` on it, and
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import Unbalanced
 from .matroid import Matroid, _members, _subset_mask
@@ -235,29 +237,17 @@ def in_rational_span(flag: FlagCone, point: Sequence) -> bool:
     )
 
 
-def face_stars(fan: WeightedFan) -> Dict[Tuple[MaskFlag, int], List[Tuple[int, int]]]:
-    """Every codimension-one face tau of the fan, keyed with each occupied
-    gap i of tau, holding the extra ray and weight of each cone over tau
-    whose extra lies in that gap.  Dropping member i (from 0) of a cone
-    leaves tau with the extra between tau[i-1] and tau[i]: that is gap i."""
-    stars: Dict[Tuple[MaskFlag, int], List[Tuple[int, int]]] = {}
-    for sigma, w in fan.weights.items():
-        for i, extra in enumerate(sigma):
-            key = (sigma[:i] + sigma[i + 1 :], i)
-            extras = stars.get(key)
-            if extras is None:
-                stars[key] = [(extra, w)]
-            else:
-                extras.append((extra, w))
-    return stars
-
-
-def gap_bounds(n_elements: int, tau: MaskFlag, gap: int) -> Tuple[int, int]:
-    """The masks tau[i-1] < tau[i] around gap i of tau, with the empty set
-    below the first member and E above the last."""
-    lo = tau[gap - 1] if gap else 0
-    hi = tau[gap] if gap < len(tau) else (1 << n_elements) - 1
-    return lo, hi
+def face_stars(fan: WeightedFan) -> Iterator[Tuple[int, Dict[MaskFlag, List[Tuple[int, int]]]]]:
+    """For each gap i from 0 to dim - 1 in turn, the codimension-one faces
+    tau that drop member i (from 0) of a cone, each with the extra ray and
+    weight of every such cone: the extra lies between tau[i-1] and tau[i],
+    in gap i of tau.  Each gap's stars are built when the walk reaches it,
+    so a caller that drops them before the next holds one gap's at a time."""
+    for i in range(fan.dim):
+        stars: Dict[MaskFlag, List[Tuple[int, int]]] = {}
+        for sigma, w in fan.weights.items():
+            stars.setdefault(sigma[:i] + sigma[i + 1 :], []).append((sigma[i], w))
+        yield i, stars
 
 
 def gap_value(lo: int, hi: int, extras: List[Tuple[int, int]]) -> Optional[int]:
@@ -298,12 +288,17 @@ def is_balanced(fan: WeightedFan) -> Tuple[bool, Optional[FlagCone]]:
     """(True, None) for a balanced fan; otherwise (False, the first
     codimension-one face, in canonical order, whose weighted sum of extra
     rays leaves its span)."""
-    n = fan.n_elements
-    failed = {
-        tau
-        for (tau, gap), extras in face_stars(fan).items()
-        if gap_value(*gap_bounds(n, tau, gap), extras) is None
-    }
+    full = (1 << fan.n_elements) - 1
+    top = fan.dim - 1
+    failed = set()
+    for gap, stars in face_stars(fan):
+        for tau, extras in stars.items():
+            # gap i of tau lies between tau[i-1] and tau[i], or 0 and E at the ends
+            lo = tau[gap - 1] if gap else 0
+            hi = tau[gap] if gap < top else full
+            if gap_value(lo, hi, extras) is None:
+                failed.add(tau)
+        del stars  # one gap's stars alive at a time
     return (False, first_face(failed)) if failed else (True, None)
 
 

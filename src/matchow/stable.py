@@ -55,7 +55,8 @@ their denominators, a positive scale keeps every sign test, and points come
 back as Fractions.  The span lattices of the skeleton loci are spanned by
 indicator vectors.  Their sum is the lattice of vectors constant on I & J,
 since e_{I&J} = e_I - sum of e_g over g in I - J, so one generator set
-serves both, and the lattice index is computed on every hit.
+serves both, and the lattice index is computed on every hit.  The images
+of the unit vectors e_g are built once per call and shared by every hit.
 
 The enumeration is one walk up the lattice's covers from the bottom, on
 int masks (bit e for element e); no matroid fan is built and no flag is
@@ -148,14 +149,20 @@ class IntersectionPoint(NamedTuple):
     index: int
 
 
-def _span_generators(n_elements: int, group: int) -> List[Tuple[int, ...]]:
-    """Quotient images of e_g for each g outside the group, given as a mask.
+def _unit_images(n_elements: int) -> List[Tuple[int, ...]]:
+    """The quotient images of e_g for g in 0..n-1, built once per call."""
+    return [mask_image(n_elements, 1 << g) for g in range(n_elements)]
+
+
+def _span_generators(units: Sequence[Tuple[int, ...]], group: int) -> List[Tuple[int, ...]]:
+    """Quotient images of e_g for each g outside the group, given as a mask,
+    picked from the unit images of `_unit_images`.
 
     With e_group they span the integer vectors constant on the group, a
     direct summand of Z^E that holds the all-ones vector, so the image is
     saturated; e_group itself is minus their sum modulo the all-ones vector.
     """
-    return [mask_image(n_elements, 1 << g) for g in range(n_elements) if not group >> g & 1]
+    return [unit for g, unit in enumerate(units) if not group >> g & 1]
 
 
 def _potentials(n_nodes: int, edges: Sequence[Tuple[int, int, int]]) -> Optional[List[int]]:
@@ -191,13 +198,14 @@ def _potentials(n_nodes: int, edges: Sequence[Tuple[int, int, int]]) -> Optional
 
 def _meet(
     flag: MaskFlag, block: Sequence[int], I: int, J: int,
-    fa: Sequence[int], fb: Sequence[int], scale: int,
+    fa: Sequence[int], fb: Sequence[int], scale: int, units: Sequence[Tuple[int, ...]],
 ) -> Optional[IntersectionPoint]:
     """The evaluator behind intersect_triple and the enumeration.
 
     flag is a mask chain, I and J are masks, and block[e] is the index of
     e's block in the flag; fa and fb are the full displacements times
-    scale > 0.  Nodes 0..r are the blocks, r+1 and r+2 the levels of I and J.
+    scale > 0, and units the `_unit_images` of the ground set.  Nodes 0..r
+    are the blocks, r+1 and r+2 the levels of I and J.
     """
     n_blocks = len(flag) + 1
     edges = [(n_blocks, block[s], fa[s]) for s in _members(I)]
@@ -228,7 +236,7 @@ def _meet(
 
     n_el = len(block)
     generators = [mask_image(n_el, s) for s in flag]
-    generators += _span_generators(n_el, I & J)
+    generators += _span_generators(units, I & J)
     try:
         index = lattice_index(generators, n_el - 1)
     except NotFullRank as exc:
@@ -265,7 +273,8 @@ def intersect_triple(
     I, J = _subset_mask(n_el, smallest), _subset_mask(n_el, largest)
     fa, fb, scale = _scaled(*_check_monotone(n_el, a, b))
     masks = chain_masks(n_el, flag)
-    return _meet(masks, _element_blocks(n_el, mask_blocks(n_el, masks)), I, J, fa, fb, scale)
+    block = _element_blocks(n_el, mask_blocks(n_el, masks))
+    return _meet(masks, block, I, J, fa, fb, scale, _unit_images(n_el))
 
 
 def _walk(
@@ -281,7 +290,7 @@ def _walk(
     may take it at value fa[x] or J at value fb[x], and for x = 0 both take
     it at value 0, each only below last and up to its size.  At E every
     pair is full and at most one is left, so it goes to _meet with draw,
-    its (fa, fb, scale); hits are appended to points.
+    its (fa, fb, scale, units); hits are appended to points.
     """
     if f == lat.top:
         chain, n_el = flag[:-1], f.bit_length()
@@ -292,7 +301,7 @@ def _walk(
                 points.append(hit)
         return
     n_i, n_j = sizes
-    fa, fb, _ = draw
+    fa, fb = draw[:2]
     for g in lat.covers_above(f):
         low = (g ^ f) & -(g ^ f)
         x = low.bit_length() - 1
@@ -320,6 +329,7 @@ def stable_intersection_points(
         raise RangeError(f"seed={seed!r} is not an int")
     n_el = m.n_elements
     lat = m.lattice()
+    units = _unit_images(n_el)
     base = seed * 1000003
     for attempt in range(32):
         a, b = displacement_vectors(n_el, base + attempt)
@@ -329,7 +339,7 @@ def stable_intersection_points(
         try:
             points: List[IntersectionPoint] = []
             start = [(0, 0, math.inf)]
-            _walk(lat, lat.bottom, (), start, (r - k + 1, k + 1), (fa, fb, scale), points)
+            _walk(lat, lat.bottom, (), start, (r - k + 1, k + 1), (fa, fb, scale, units), points)
             return points, (a, b)
         except DegenerateSystem:
             continue

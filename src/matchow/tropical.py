@@ -25,12 +25,14 @@ by gaps gives phi_tau(v) = sum over occupied gaps i of
 f(e_(F_(d+1))) read as 0.  So each gap adds sum_S w (f(e_S) - f(e_(F_(i-1))))
 - own_i (f(e_(F_i)) - f(e_(F_(i-1)))) to the divisor on tau.  The constancy
 test on each gap is the balancing test, so the divisor checks that w is
-balanced in the same walk over the faces, `fan.face_stars`, that
-`is_balanced`, the one balancing check, runs.  Faces and rays are int
-masks throughout.  The divisor is linear in w, negative weights included,
-and f is evaluated once per distinct ray mask in a call.  The matroid fan
-has unit weights and the functions take integer values on the rays, so
-every weight stays an int.
+balanced in the same walk over the faces, one gap at a time,
+`fan.face_stars`, that `is_balanced`, the one balancing check, runs.
+Faces and rays are int masks throughout.  The divisor is linear in w,
+negative weights included.  A `PLFunction` keeps its values at the ray
+masks, filled on first read and each checked to be an int or a Fraction,
+so f is evaluated once per distinct ray mask per function, over every
+divisor step it takes.  The matroid fan has unit weights and the
+functions take integer values on the rays, so every weight stays an int.
 
 Iterating the two tropical hyperplane classes walks the rank window of the
 truncation weights down to a number: beta trims the window from below,
@@ -43,7 +45,6 @@ checks the window.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from .errors import RangeError, Unbalanced
@@ -54,7 +55,6 @@ from .fan import (
     face_stars,
     first_face,
     full_coordinates,
-    gap_bounds,
     gap_value,
     mask_image,
     matroid_fan,
@@ -63,14 +63,40 @@ from .fan import (
 from .matroid import Matroid, _require_element
 
 
-class PLFunction:
-    """Piecewise-linear function on the braid fan, given by a rule on full coordinates."""
+class _RayValues(dict):
+    """A function's values at the rays e_S, keyed by the mask of S and each
+    computed on its first read; the empty set and E name the origin, where
+    the value is 0.  Raises ValueError on a value that is not exact."""
 
     __slots__ = ("n_elements", "rule")
 
     def __init__(self, n_elements: int, rule: Callable[[Tuple], object]):
         self.n_elements = n_elements
         self.rule = rule
+
+    def __missing__(self, s: int):
+        n = self.n_elements
+        value = self.rule(full_coordinates(mask_image(n, s))) if 0 < s < (1 << n) - 1 else 0
+        _require_exact(value, "ray value")
+        self[s] = value
+        return value
+
+
+class PLFunction:
+    """Piecewise-linear function on the braid fan, given by a rule on full
+    coordinates; `at_ray` holds its values at the rays by mask, read from
+    the rule it was built with.  Raises ValueError unless n_elements is a
+    positive int."""
+
+    __slots__ = ("n_elements", "rule", "at_ray")
+
+    def __init__(self, n_elements: int, rule: Callable[[Tuple], object]):
+        # type() rather than isinstance(), as for WeightedFan's sizes: no bool
+        if type(n_elements) is not int or n_elements < 1:
+            raise ValueError(f"n_elements {n_elements!r} is not a positive int")
+        self.n_elements = n_elements
+        self.rule = rule
+        self.at_ray = _RayValues(n_elements, rule)
 
     def __call__(self, point: Sequence):
         coords = full_coordinates(point)
@@ -113,25 +139,29 @@ def divisor(f: PLFunction, w: WeightedFan) -> WeightedFan:
         raise ValueError("ground set mismatch")
     if w.dim == 0:
         raise ValueError("cannot take the divisor of a 0-dimensional weight")
-    n = w.n_elements
-    full = (1 << n) - 1
-    at_ray = functools.cache(lambda s: f(mask_image(n, s)) if 0 < s < full else 0)
+    full = (1 << w.n_elements) - 1
+    top = w.dim - 1
+    at_ray = f.at_ray
     out: Dict[MaskFlag, int] = {}
     failed = set()
-    for (tau, gap), extras in face_stars(w).items():
-        lo, hi = gap_bounds(n, tau, gap)
-        own = gap_value(lo, hi, extras)
-        if own is None:
-            failed.add(tau)
-            continue
-        f_lo = at_ray(lo)
-        value = out.get(tau, 0) - own * (at_ray(hi) - f_lo)
-        for s, weight in extras:
-            value += weight * (at_ray(s) - f_lo)
-        out[tau] = value
+    for gap, stars in face_stars(w):
+        for tau, extras in stars.items():
+            # the bounds of gap i of tau, as in fan.is_balanced
+            lo = tau[gap - 1] if gap else 0
+            hi = tau[gap] if gap < top else full
+            own = gap_value(lo, hi, extras)
+            if own is None:
+                failed.add(tau)
+                continue
+            f_lo = at_ray[lo]
+            value = out.get(tau, 0) - own * (at_ray[hi] - f_lo)
+            for s, weight in extras:
+                value += weight * (at_ray[s] - f_lo)
+            out[tau] = value
+        del stars  # one gap's stars alive at a time
     if failed:
         raise Unbalanced(first_face(failed))
-    return WeightedFan._from_masks(n, w.dim - 1, {tau: v for tau, v in out.items() if v})
+    return WeightedFan._from_masks(w.n_elements, top, {tau: v for tau, v in out.items() if v})
 
 
 def truncation_weight(m: Matroid, r1: int, r2: int) -> WeightedFan:

@@ -46,9 +46,10 @@ def walked_stars(fan: WeightedFan) -> dict:
     """`face_stars` of the fan as frozenset faces, each with its sorted
     (extra members, weight) pairs over every gap."""
     out = {}
-    for (tau, _), extras in face_stars(fan).items():
-        star = out.setdefault(tuple(map(mask_subset, tau)), [])
-        star += [(tuple(sorted(mask_subset(s))), w) for s, w in extras]
+    for _, stars in face_stars(fan):
+        for tau, extras in stars.items():
+            star = out.setdefault(tuple(map(mask_subset, tau)), [])
+            star += [(tuple(sorted(mask_subset(s))), w) for s, w in extras]
     return {tau: sorted(star) for tau, star in out.items()}
 
 

@@ -275,8 +275,8 @@ def test_codim_one_stars_of_boolean3():
         assert total == tuple(expected)
     # the mask walk finds the same stars; the ray {0} is the face (0b001,)
     # and both of its extras lie above it, in gap 1
-    walked = face_stars(fan)
-    assert sorted(walked[(0b001,), 1]) == [(0b011, 1), (0b101, 1)]
+    walked = dict(face_stars(fan))
+    assert sorted(walked[1][(0b001,)]) == [(0b011, 1), (0b101, 1)]
     assert walked_stars(fan) == {
         tau: sorted((tuple(sorted(extra)), w) for extra, w in star) for tau, star, _ in stars
     }
@@ -331,17 +331,17 @@ def test_two_gap_face_by_hand():
     cones = [(fs({0}), fs({0, 1})), (fs({1}), fs({0, 1})),
              (fs({0, 1}), fs({0, 1, 2})), (fs({0, 1}), fs({0, 1, 3}))]
     fan = WeightedFan(4, 2, {cone: 1 for cone in cones})
-    stars = face_stars(fan)
-    assert sorted(stars[(0b0011,), 0]) == [(0b0001, 1), (0b0010, 1)]
-    assert sorted(stars[(0b0011,), 1]) == [(0b0111, 1), (0b1011, 1)]
+    stars = dict(face_stars(fan))
+    assert sorted(stars[0][(0b0011,)]) == [(0b0001, 1), (0b0010, 1)]
+    assert sorted(stars[1][(0b0011,)]) == [(0b0111, 1), (0b1011, 1)]
     # each gap's extras are constant on their own block
-    assert gap_value(0, 0b0011, stars[(0b0011,), 0]) == 1
-    assert gap_value(0b0011, 0b1111, stars[(0b0011,), 1]) == 1
+    assert gap_value(0, 0b0011, stars[0][(0b0011,)]) == 1
+    assert gap_value(0b0011, 0b1111, stars[1][(0b0011,)]) == 1
     # doubling one cone above breaks gap 1 only, and the span solve agrees
     bad = fan.reweighted(cones[3], 2)
-    bad_stars = face_stars(bad)
-    assert gap_value(0, 0b0011, bad_stars[(0b0011,), 0]) == 1
-    assert gap_value(0b0011, 0b1111, bad_stars[(0b0011,), 1]) is None
+    bad_stars = dict(face_stars(bad))
+    assert gap_value(0, 0b0011, bad_stars[0][(0b0011,)]) == 1
+    assert gap_value(0b0011, 0b1111, bad_stars[1][(0b0011,)]) is None
     for fan_, balances in ((fan, True), (bad, False)):
         total = next(total for face, _, total in codim_one_stars(fan_) if face == tau)
         assert span_reference(tau, total) is balances
@@ -363,10 +363,32 @@ def test_signed_skeleton_fans_match_the_reference():
                     tau: sorted((tuple(sorted(extra)), w) for extra, w in star)
                     for tau, star, _ in codim_one_stars(fan)
                 }
-                faces = [tau for tau, _ in face_stars(fan)]
+                faces = [tau for _, stars in face_stars(fan) for tau in stars]
                 multi_gap = multi_gap or len(faces) > len(set(faces))
     assert verdicts == {True, False}
     assert multi_gap
+
+
+def test_face_stars_walks_the_gaps_in_order(suite_matroid):
+    # gap i holds the faces that drop member i, each extra strictly between
+    # the face's members around it
+    m = suite_matroid
+    r = m.rank() - 1
+    fans = [matroid_fan(m)] + [truncation_weight(m, r1, r) for r1 in range(1, r + 1)]
+    fans += signed_skeleton_fans(m.n_elements, 2, 0) if m.n_elements > 2 else []
+    full = (1 << m.n_elements) - 1
+    for fan in fans:
+        gaps = []
+        for gap, stars in face_stars(fan):
+            gaps.append(gap)
+            for tau, extras in stars.items():
+                bounds = (0, *tau, full)
+                lo, hi = bounds[gap], bounds[gap + 1]
+                for s, w in extras:
+                    assert lo & ~s == 0 and s & ~hi == 0 and lo != s != hi
+                    assert fan.weights[(*tau[:gap], s, *tau[gap:])] == w
+        assert gaps == list(range(fan.dim))
+    assert list(face_stars(WeightedFan(3, 0, {(): 1}))) == []
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -18,10 +18,11 @@ def _run(*args: str) -> subprocess.CompletedProcess:
 def test_fano_reports_every_route_for_every_k():
     done = _run("fano")
     assert done.returncode == 0, done.stderr
-    header, layers, *rows = done.stdout.splitlines()
+    header, layers, fans, *rows = done.stdout.splitlines()
     assert header == "fano  n=7 r=2  ms per call, best of 5 batches of 10 ms"
     stages = "  ".join(rf"{stage} \d+\.\d{{3}}" for stage in ("construct", "lattice", "char_poly"))
     assert re.fullmatch(rf"  {stages}", layers), layers
+    assert re.fullmatch(r"  matroid_fan \d+\.\d{3}  balancing \d+\.\d{3}", fans), fans
     assert len(rows) == 3
     routes = ("lex", "pp", "stable", "tropical", "chains")
     cells = "  ".join(rf"{route} \d+\.\d{{3}}" for route in routes)

@@ -33,6 +33,7 @@ from matchow.stable import (
     _coincident_difference,
     _scaled,
     _span_generators,
+    _unit_images,
     displacement_vectors,
 )
 
@@ -83,7 +84,7 @@ def test_span_generators_are_saturated():
         small = list(itertools.product((-1, 0, 1), repeat=n - 1))
         for size in range(1, n + 1):
             for group in map(fs, itertools.combinations(range(n), size)):
-                generators = _span_generators(n, sum(1 << g for g in group))
+                generators = _span_generators(_unit_images(n), sum(1 << g for g in group))
                 assert all(_constant_on(group, g) for g in generators)
                 # the echelon rows are a basis of the same lattice
                 basis = hermite_row_reduce(generators, n - 1)
@@ -111,10 +112,11 @@ def test_span_lattices_sum_to_the_lattice_of_the_intersection():
     # lattice_index needs, the second with indices other than 1
     for n in range(1, 6):
         chain = [mask_image(n, (1 << i) - 1) for i in range(1, n)]
-        doubled = [tuple(2 * x for x in row) for row in _span_generators(n, 0)]
+        units = _unit_images(n)
+        doubled = [tuple(2 * x for x in row) for row in _span_generators(units, 0)]
         for I, J in itertools.product(range(1 << n), repeat=2):
-            both = _span_generators(n, I) + _span_generators(n, J)
-            meet = _span_generators(n, I & J)
+            both = _span_generators(units, I) + _span_generators(units, J)
+            meet = _span_generators(units, I & J)
             for extra in ([], chain, doubled):
                 assert _index_or_rank(extra + both, n - 1) == _index_or_rank(extra + meet, n - 1)
 

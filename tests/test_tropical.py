@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from matchow import (
 )
 import matchow.cli as cli
 import matchow.fan as fan_mod
+import matchow.tropical as tropical_mod
 from matchow.fan import WeightedFan, is_balanced
 from matchow.tropical import PLFunction
 
@@ -146,6 +148,23 @@ def test_pl_function_rejects_wrong_dimension():
         for point in ((), (1,), (1, 2, 3)):
             with pytest.raises(ValueError):
                 f(point)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, -1, 0, "3"])
+def test_pl_function_rejects_a_size_that_is_not_a_positive_int(n):
+    with pytest.raises(ValueError, match="not a positive int"):
+        PLFunction(n, lambda x: 0)
+
+
+def test_divisor_rejects_inexact_ray_values():
+    # half of alpha is 0.5 on the rays through 0: a float weight would follow
+    half = PLFunction(4, lambda x: 0.5 * (x[0] - min(x)))
+    with pytest.raises(ValueError, match="ray value 0.5 is not an int or a Fraction"):
+        divisor(half, matroid_fan(Matroid.uniform(3, 4)))
+    exact = PLFunction(4, lambda x: Fraction(1, 2) * (x[0] - min(x)))
+    assert set(divisor(exact, matroid_fan(Matroid.uniform(3, 4))).weights.values()) == {
+        Fraction(1, 2)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +329,49 @@ def test_divisor_evaluates_f_once_per_ray():
     fan = matroid_fan(K5)
     assert divisor(counted, fan) == divisor(alpha, fan)
     assert len(set(points)) == len(points) <= len(K5.lattice().proper_nonempty_flats())
+
+
+def test_deg_tropical_reads_each_ray_once_per_function(monkeypatch):
+    # over all the steps of a beta^k alpha^(r-k) run, each function's rule
+    # runs at most once per ray, though alpha or beta takes several steps
+    n = K5.n_elements
+    bases = {"pl_alpha": pl_alpha(n), "pl_beta": pl_beta(n)}
+    for k in range(K5.rank()):
+        reads = {name: [] for name in bases}
+        for name, base in bases.items():
+            counted = PLFunction(n, lambda x, seen=reads[name], rule=base.rule:
+                                 seen.append(x) or rule(x))
+            monkeypatch.setattr(tropical_mod, name, lambda _, f=counted: f)
+        assert deg_tropical(K5, k) == K5.mu(k)
+        for name, seen in reads.items():
+            assert len(seen) == len(set(seen)), (k, name)
+        assert sum(map(len, reads.values())) > 0
+
+
+def test_star_walk_keeps_one_gap_alive(monkeypatch):
+    # is_balanced and divisor drop each gap's stars before the next is built
+    class Tracked(dict):
+        __slots__ = ("__weakref__",)
+
+    refs = []
+    alive_at_build = []
+    real = fan_mod.face_stars
+
+    def tracking(fan):
+        for gap, stars in real(fan):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            tracked = Tracked(stars)
+            refs.append(weakref.ref(tracked))
+            del stars
+            yield gap, tracked
+            del tracked
+
+    monkeypatch.setattr(fan_mod, "face_stars", tracking)
+    monkeypatch.setattr(tropical_mod, "face_stars", tracking)
+    fan = matroid_fan(K5)
+    assert is_balanced(fan) == (True, None)
+    assert divisor(pl_alpha(K5.n_elements), fan).dim == 2
+    assert alive_at_build == [0, 0, 0] * 2
 
 
 def test_tropical_and_balancing_stay_on_masks(tmp_path, monkeypatch, capsys):

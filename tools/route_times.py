@@ -1,11 +1,14 @@
-"""Time the matroid layer, and every route and the chain count per k, on a
-ladder of matroids.
+"""Time the matroid layer, the fan layer, and every route and the chain
+count per k, on a ladder of matroids.
 
 For each rung the matroid layer is timed first on fresh matroids: the
 construction from the explicit bases (which runs the exchange check), the
 lattice of flats alone, and the first `char_poly` call with the lattice
 built (the Moebius values and the NBC walk).  Then the rung's lattice of
-flats and mu-vector are computed, so no route's time includes them.  For
+flats and mu-vector are computed, so no later time includes them.  The fan
+layer is `matroid_fan`, and the balancing check: what the `balancing`
+command computes, the matroid fan and every truncation window each built,
+checked by `is_balanced` and dropped in turn, each asserted balanced.  For
 each k, lex, pp, stable, tropical and the chain count by descent set run
 in this one process; each value is asserted equal to mu^k.  Every time
 printed is in milliseconds per call: the least mean over BATCHES batches,
@@ -19,7 +22,7 @@ before each call.  K7 takes one call per stage and skips pp, whose
     python3 tools/route_times.py fano 'U(4,9)' K6
 
 The only arguments are rung names.  Prints one header line per rung, one
-line of matroid-layer times, then one line per k.
+line of matroid-layer times, one of fan-layer times, then one line per k.
 """
 
 from __future__ import annotations
@@ -33,7 +36,16 @@ from typing import Callable, Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from matchow import Matroid, deg_lex, deg_pp, deg_stable, deg_tropical  # noqa: E402
+from matchow import (  # noqa: E402
+    Matroid,
+    deg_lex,
+    deg_pp,
+    deg_stable,
+    deg_tropical,
+    is_balanced,
+    matroid_fan,
+    truncation_weight,
+)
 
 
 def _complete_graph(n: int) -> Callable[[], Matroid]:
@@ -102,9 +114,28 @@ def layer_times(m: Matroid, large: bool) -> str:
     return "  " + "  ".join(f"{stage} {t:.3f}" for stage, t in times)
 
 
+def fan_times(m: Matroid, large: bool) -> str:
+    """The times, in ms per call, of matroid_fan and of balancing the matroid
+    fan and every truncation window, one fan alive at a time; each fan must
+    balance."""
+    r = m.rank() - 1
+    windows = [(r1, r2) for r1 in range(1, r + 1) for r2 in range(r1, r + 1)]
+
+    def balancing(_) -> List[bool]:
+        verdicts = [is_balanced(matroid_fan(m))[0]]
+        verdicts += [is_balanced(truncation_weight(m, *window))[0] for window in windows]
+        return verdicts
+
+    times = (
+        ("matroid_fan", best_ms(lambda _: matroid_fan(m), matroid_fan(m), large)),
+        ("balancing", best_ms(balancing, [True] * (1 + len(windows)), large)),
+    )
+    return "  " + "  ".join(f"{stage} {t:.3f}" for stage, t in times)
+
+
 def time_rung(name: str) -> List[str]:
-    """The report lines of one rung: a header, the matroid layer's times,
-    then one line per k."""
+    """The report lines of one rung: a header, the matroid layer's times, the
+    fan layer's, then one line per k."""
     m = RUNGS[name]()
     large = name in LARGE
     how = "one call" if large else f"best of {BATCHES} batches of {BATCH_S * 1e3:g} ms"
@@ -113,6 +144,7 @@ def time_rung(name: str) -> List[str]:
     lines = [
         f"{name}  n={m.n_elements} r={m.rank() - 1}  ms per call, {how}",
         layer_times(m, large),
+        fan_times(m, large),
     ]
     for k, expected in enumerate(mu):
         cells = []
