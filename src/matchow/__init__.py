@@ -18,7 +18,8 @@ one upward pass over the covers labelled by their least new element
 (``Matroid.chains_with_descent_set``).
 """
 
-from .chowlex import deg_lex
+from importlib import import_module
+
 from .errors import (
     DegeneratePoint,
     DegenerateSystem,
@@ -32,16 +33,15 @@ from .errors import (
     RangeError,
     Unbalanced,
 )
-from .fan import braid_cone_of, e_image, full_coordinates, is_balanced, matroid_fan
 from .matroid import Matroid, complete_graph_k4, poly_q_str, triangle_with_pendant
-from .piecewise import deg_pp
-from .stable import deg_stable, intersect_triple, stable_intersection_points
-from .tropical import deg_tropical, divisor, pl_alpha, pl_beta, pl_linear, truncation_weight
 
 __version__ = "0.1.0"
 
 # What the README quick start, the demos and the acceptance gate import, plus
-# every exception class; everything else is imported from its submodule.
+# every exception class; everything else is imported from its submodule.  The
+# exceptions and the matroid layer load with the package; the fan and the
+# routes load on first access (`__getattr__` below), so `import matchow` and
+# every CLI call compile only the modules they use.
 __all__ = [
     "DegeneratePoint",
     "DegenerateSystem",
@@ -75,3 +75,30 @@ __all__ = [
     "triangle_with_pendant",
     "truncation_weight",
 ]
+
+# name -> the submodule that defines it, for the names loaded on first access
+_LAZY = {
+    name: module
+    for module, names in (
+        ("chowlex", ("deg_lex",)),
+        ("fan", ("braid_cone_of", "e_image", "full_coordinates", "is_balanced", "matroid_fan")),
+        ("piecewise", ("deg_pp",)),
+        ("stable", ("deg_stable", "intersect_triple", "stable_intersection_points")),
+        ("tropical", ("deg_tropical", "divisor", "pl_alpha", "pl_beta", "pl_linear",
+                      "truncation_weight")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines name once, and keep the name here."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -22,7 +22,6 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .chowlex import deg_lex
 from .errors import (
     DegeneratePoint,
     DegenerateSystem,
@@ -35,11 +34,54 @@ from .errors import (
     RangeError,
     Unbalanced,
 )
-from .fan import is_balanced, matroid_fan
 from .matroid import BUILTIN_MATROIDS, Matroid, builtin, poly_q_str
-from .piecewise import deg_pp
-from .stable import deg_stable
-from .tropical import deg_tropical, truncation_weight
+
+# Each route loads on its first call, so a request imports only the route it
+# runs.  These are module functions, looked up here at each call, so that a
+# tracer or a test can replace them in this namespace.
+
+
+def deg_lex(m: Matroid, k: int) -> int:
+    from .chowlex import deg_lex
+
+    return deg_lex(m, k)
+
+
+def deg_pp(m: Matroid, k: int, seed: int = 0) -> int:
+    from .piecewise import deg_pp
+
+    return deg_pp(m, k, seed=seed)
+
+
+def deg_stable(m: Matroid, k: int, seed: int = 0) -> int:
+    from .stable import deg_stable
+
+    return deg_stable(m, k, seed=seed)
+
+
+def deg_tropical(m: Matroid, k: int) -> int:
+    from .tropical import deg_tropical
+
+    return deg_tropical(m, k)
+
+
+def matroid_fan(m: Matroid):
+    from .fan import matroid_fan
+
+    return matroid_fan(m)
+
+
+def is_balanced(fan):
+    from .fan import is_balanced
+
+    return is_balanced(fan)
+
+
+def truncation_weight(m: Matroid, r1: int, r2: int):
+    from .tropical import truncation_weight
+
+    return truncation_weight(m, r1, r2)
+
 
 METHODS: Dict[str, Callable] = {
     "lex": lambda m, k, seed: deg_lex(m, k),

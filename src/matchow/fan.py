@@ -43,7 +43,10 @@ face as its certificate; `require_balanced` raises `Unbalanced` on it, and
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, NoReturn, Optional, Sequence, Tuple
+)
 
 from .errors import Unbalanced
 from .matroid import Matroid, _members, _subset_mask
@@ -128,22 +131,27 @@ def _require_exact(value, what: str) -> None:
         raise ValueError(f"{what} {value!r} is not an int or a Fraction")
 
 
+def _not_a_chain(flag: MaskFlag) -> NoReturn:
+    flag_text = [list(_members(t)) for t in flag]
+    raise ValueError(f"flag {flag_text} is not a strict chain of proper nonempty subsets")
+
+
 def _checked(n_elements: int, dim: int, weights: Mapping[MaskFlag, int]) -> Dict[MaskFlag, int]:
     """The nonzero weights, once every flag is a strict chain of `dim`
-    proper nonempty masks: one prev & ~s test per member."""
+    proper nonempty masks: one prev & ~s test per member, then the last
+    member against the full set."""
     full = (1 << n_elements) - 1
     clean: Dict[MaskFlag, int] = {}
     for flag, w in weights.items():
         if len(flag) != dim:
             raise ValueError(f"cone {_flag_view(flag)} has dimension {len(flag)}, expected {dim}")
         prev = 0
-        for s in (*flag, full):
+        for s in flag:
             if prev & ~s or prev == s:
-                flag_text = [list(_members(t)) for t in flag]
-                raise ValueError(
-                    f"flag {flag_text} is not a strict chain of proper nonempty subsets"
-                )
+                _not_a_chain(flag)
             prev = s
+        if prev & ~full or prev == full:
+            _not_a_chain(flag)
         if w != 0:
             clean[flag] = w
     return clean
@@ -244,9 +252,12 @@ def face_stars(fan: WeightedFan) -> Iterator[Tuple[int, Dict[MaskFlag, List[Tupl
     in gap i of tau.  Each gap's stars are built when the walk reaches it,
     so a caller that drops them before the next holds one gap's at a time."""
     for i in range(fan.dim):
+        rest = [j for j in range(fan.dim) if j != i]
+        # itemgetter of one index gives a bare mask, so short faces slice
+        face = itemgetter(*rest) if len(rest) > 1 else lambda sigma: sigma[:i] + sigma[i + 1 :]
         stars: Dict[MaskFlag, List[Tuple[int, int]]] = {}
         for sigma, w in fan.weights.items():
-            stars.setdefault(sigma[:i] + sigma[i + 1 :], []).append((sigma[i], w))
+            stars.setdefault(face(sigma), []).append((sigma[i], w))
         yield i, stars
 
 

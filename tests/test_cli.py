@@ -466,3 +466,40 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+ROUTE_MODULES = ("matchow.chowlex", "matchow.fan", "matchow.piecewise", "matchow.stable",
+                 "matchow.tropical", "matchow.exact", "fractions", "decimal")
+
+# after the bare import, then after each request in turn: which route modules
+# and number types are loaded
+LAZY_PROBE = f"""
+import io, json, sys
+from contextlib import redirect_stdout
+watched = {ROUTE_MODULES!r}
+loaded = lambda: sorted(set(watched) & set(sys.modules))
+import matchow.cli
+seen = [loaded()]
+for argv in (["invariants", "--builtin", "fano"],
+             ["deg", "--builtin", "fano", "--k", "1", "--method", "lex"]):
+    with redirect_stdout(io.StringIO()):
+        assert matchow.cli.main(argv) == 0
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_a_request_imports_only_the_route_it_runs():
+    # the routes load on first call, so no CLI call compiles the routes it skips
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    after_import, after_invariants, after_lex = json.loads(result.stdout)
+    assert after_import == []
+    assert after_invariants == []
+    assert after_lex == ["matchow.chowlex"]

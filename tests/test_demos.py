@@ -1,5 +1,7 @@
-"""Every demo runs to completion against the package's exports, and those
-exports are exactly what the README, the demos and the acceptance gate use."""
+"""Every demo runs to completion against the package's exports, those
+exports are exactly what the README, the demos and the acceptance gate use,
+and the ones outside the exceptions and the matroid layer load on first
+access."""
 
 from __future__ import annotations
 
@@ -54,3 +56,52 @@ def test_exports_are_what_readme_demos_and_gate_import():
         if inspect.isclass(obj) and issubclass(obj, Exception)
     }
     assert set(matchow.__all__) == used | exceptions
+
+
+@pytest.fixture
+def uncached(monkeypatch):
+    """The package with the names it loads on first access not yet loaded."""
+    for name in matchow._LAZY:
+        monkeypatch.delitem(vars(matchow), name, raising=False)
+    return matchow
+
+
+def test_every_export_is_its_submodules_own_object(uncached):
+    for name in uncached.__all__:
+        obj = getattr(uncached, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("matchow.")
+        assert getattr(home, name) is obj
+        # the first access keeps the name, so the next one is a plain lookup
+        assert vars(uncached)[name] is obj
+
+
+def test_star_import_binds_every_export(uncached):
+    namespace = {}
+    exec("from matchow import *", namespace)
+    for name in uncached.__all__:
+        assert namespace[name] is getattr(uncached, name)
+
+
+def test_dir_lists_every_export(uncached):
+    assert set(uncached.__all__) <= set(dir(uncached))
+
+
+def test_unknown_attribute_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        matchow.no_such_name
+
+
+def test_bare_package_import_loads_no_route_module():
+    probe = (
+        "import sys, matchow; "
+        "print(sorted(name for name in sys.modules if name.startswith('matchow.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['matchow.errors', 'matchow.matroid']"

@@ -391,6 +391,40 @@ def test_face_stars_walks_the_gaps_in_order(suite_matroid):
     assert list(face_stars(WeightedFan(3, 0, {(): 1}))) == []
 
 
+def test_face_stars_keys_extras_and_order_match_slicing():
+    # each gap's faces, extras and insertion order are those of dropping
+    # member i by slicing, for faces of no members, one member and several
+    fans = [fan for dim in (1, 2, 3, 4) for fan in signed_skeleton_fans(5, dim, dim)]
+    fans += [matroid_fan(Matroid.uniform(2, 3)), matroid_fan(Matroid.uniform(4, 6))]
+    assert {fan.dim for fan in fans} == {1, 2, 3, 4}
+    for fan in fans:
+        for i, stars in face_stars(fan):
+            expected = {}
+            for sigma, w in fan.weights.items():
+                expected.setdefault(sigma[:i] + sigma[i + 1 :], []).append((sigma[i], w))
+            assert list(stars.items()) == list(expected.items())
+            assert all(type(tau) is tuple and len(tau) == fan.dim - 1 for tau in stars)
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ((0b000,), "[[]]"),
+        ((0b111,), "[[0, 1, 2]]"),
+        ((0b010, 0b100), "[[1], [2]]"),
+        ((0b010, 0b010), "[[1], [1]]"),
+        ((0b1000,), "[[3]]"),
+        ((0b011, 0b001), "[[0, 1], [0]]"),
+        ((0b001, 0b011, 0b111), "[[0], [0, 1], [0, 1, 2]]"),
+    ],
+)
+def test_mask_flags_that_are_not_strict_chains_are_named(flag, text):
+    message = f"flag {text} is not a strict chain of proper nonempty subsets"
+    with pytest.raises(ValueError) as caught:
+        WeightedFan._from_masks(3, len(flag), {flag: 1})
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_rank_one_uniform(n):
     m = Matroid.uniform(1, n)
